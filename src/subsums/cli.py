@@ -16,7 +16,7 @@ from .construction import build_cn
 from .errors import SubsumError
 from .filler import fill
 from .intervals import to_text
-from .oracle import oracle_cn
+from .oracle import check_depth, oracle_cn
 from .rational import format_rational, parse_rational
 from .render import bar_chart, sweep
 from .specio import PRESETS, load_spec
@@ -143,6 +143,7 @@ def _cmd_cn(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _load_seq(args.seq)
+    check_depth(args.depth)
     result = build_cn(spec, args.depth, cap=args.cap)
     brute = oracle_cn(spec, args.depth)
     if brute != result.fattened:
@@ -239,7 +240,7 @@ def _add_common(parser, *, seq=False, depth=None, depth_help="cover depth", cap=
             "--cap",
             type=int,
             default=None,
-            help="endpoint cap (default from SUBSUMS_ENDPOINT_CAP or 2^22)",
+            help="component cap (default from SUBSUMS_ENDPOINT_CAP or 2^22)",
         )
     parser.add_argument("--format", choices=("json", "text"), default=fmt)
     parser.add_argument("--out", default=None, help="write output to this path")

@@ -1,17 +1,25 @@
 """Depth-n interval covers of the subsum set of a positive summable spec.
 
-The depth-n cover is the union over all subsets of the first n terms of the
-closed interval [s, s + tail], where s is the subset's sum. Left endpoints
-are carried exactly through the doubling recursion (each new term translates
-the endpoint set) and the union is fattened by the tail enclosure at the
-end. The covers are nested and their intersection is the subsum set.
+The depth-n cover C_n = {0,x_1} + ... + {0,x_n} + [0, X_n] (Minkowski sum,
+X_n the tail after n terms) is the union over all subsets of the first n
+terms of [s, s + X_n], s the subset's sum. The covers are nested and their
+intersection is the subsum set.
+
+build_cn folds the sum from the right: U = [0, X_n], then U <- U u (U + x_k)
+for k = n..1, each step one linear merge of two sorted component lists. The
+work follows the component count (about 3^(n/2) for Guthrie-Nymann, 1 for
+the halves), not the 2^n subset sums. The fold runs on integer numerators
+over one common denominator and converts to Fraction once, at the end.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, DivergentTail, WrongKind
@@ -24,6 +32,7 @@ from .sequences import (
     TermTailRelation,
     compare_term_tail,
     is_nonincreasing,
+    positive_spec,
 )
 
 DEFAULT_ENDPOINT_CAP = 1 << 22
@@ -42,23 +51,34 @@ def default_cap() -> int:
 
 @dataclass(frozen=True)
 class CnResult:
-    """Depth-n cover: exact subset-sum left endpoints plus fattened unions.
+    """Depth-n cover: fattened and inner unions, plus the tail used.
 
-    fattened widens each left endpoint by the upper tail bound and always
+    fattened widens each subset sum by the upper tail bound and always
     contains the subsum set; inner (present only when the tail enclosure
     is inexact) widens by the lower bound and is contained in the true
-    cover.
+    cover. spec is the positive spec the cover was built from, and cap
+    the cap given to build_cn.
     """
 
     depth: int
-    left_endpoints: tuple
     fattened: IntervalUnion
     inner: Optional[IntervalUnion]
     tail_used: TailEnclosure
+    spec: SequenceSpec = field(repr=False, compare=False)
+    cap: Optional[int] = field(repr=False, compare=False)
 
     @property
     def tail_exact(self) -> bool:
         return self.tail_used.exact
+
+    @cached_property
+    def left_endpoints(self) -> tuple:
+        """Sorted distinct subset sums of the first depth terms.
+
+        Enumerated by subset_sum_starts on first access (up to 2^depth
+        values, under cap as an endpoint cap); the cover does not need them.
+        """
+        return subset_sum_starts(self.spec, self.depth, cap=self.cap)
 
 
 def subset_sum_starts(spec: SequenceSpec, depth: int, cap: Optional[int] = None) -> tuple:
@@ -79,28 +99,77 @@ def subset_sum_starts(spec: SequenceSpec, depth: int, cap: Optional[int] = None)
     return tuple(sorted(sums))
 
 
-def build_cn(
-    spec: SequenceSpec, depth: int, cap: Optional[int] = None
-) -> CnResult:
+def _fold_step(lo: list, hi: list, x: int) -> tuple:
+    """Components of U u (U + x) for U given as sorted lo/hi lists.
+
+    U's components are disjoint with strict gaps and U starts at 0, so
+    those ending below x meet no shifted component, and shifted ones
+    starting past U's end meet no original one: both runs are copied. The
+    rest is a two-pointer merge that coalesces overlapping or abutting
+    pairs, the rule normalize uses.
+    """
+    n = len(lo)
+    head = bisect_left(hi, x)
+    tail = bisect_right(lo, hi[-1] - x)
+    out_lo, out_hi = lo[:head], hi[:head]
+    i, j = head, 0
+    while i < n or j < tail:
+        if j == tail or (i < n and lo[i] <= lo[j] + x):
+            a, b = lo[i], hi[i]
+            i += 1
+        else:
+            a, b = lo[j] + x, hi[j] + x
+            j += 1
+        if out_hi and a <= out_hi[-1]:
+            if b > out_hi[-1]:
+                out_hi[-1] = b
+        else:
+            out_lo.append(a)
+            out_hi.append(b)
+    out_lo.extend(v + x for v in lo[tail:])
+    out_hi.extend(v + x for v in hi[tail:])
+    return out_lo, out_hi
+
+
+def _fold(numerators: list, width: Fraction, den: int, cap: int) -> IntervalUnion:
+    """{0,x_1} + ... + {0,x_n} + [0, width], folded right to left.
+
+    numerators are those of x_1..x_n over the common denominator den.
+    """
+    lo, hi = [0], [width.numerator * (den // width.denominator)]
+    for k in range(len(numerators), 0, -1):
+        lo, hi = _fold_step(lo, hi, numerators[k - 1])
+        if len(lo) > cap:
+            raise CapExceeded(
+                f"component cap {cap} exceeded at term {k} of {len(numerators)}"
+            )
+    return IntervalUnion(tuple(
+        ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in zip(lo, hi)
+    ))
+
+
+def build_cn(spec, depth: int, cap: Optional[int] = None) -> CnResult:
     """Build the depth-n cover of the subsum set.
 
-    Requires a positive summable spec. Raises DivergentTail otherwise and
-    CapExceeded when the endpoint count passes the cap (default 2^22,
-    overridable via the SUBSUMS_ENDPOINT_CAP environment variable).
+    Takes a positive summable spec, or a merge of positive specs, whose
+    cover is that of their non-increasing merge. Raises ValueError for
+    negated parts, DivergentTail for a divergent spec, and CapExceeded when
+    a fold step leaves more than cap components (default 2^22, overridable
+    via the SUBSUMS_ENDPOINT_CAP environment variable).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if spec.negated:
-        raise ValueError("covers are defined for positive specs")
+    spec = positive_spec(spec)
     if spec.total().hi is None:
         raise DivergentTail("the sequence is not summable")
-    starts = subset_sum_starts(spec, depth, cap=cap)
+    limit = default_cap() if cap is None else cap
+    terms = list(itertools.islice(spec.terms(), depth))
     tail = spec.tail_sum(depth)
-    fattened = normalize(ClosedInterval(s, s + tail.hi) for s in starts)
-    inner = None
-    if not tail.exact:
-        inner = normalize(ClosedInterval(s, s + tail.lo) for s in starts)
-    return CnResult(depth, starts, fattened, inner, tail)
+    den = lcm(*(x.denominator for x in terms), tail.lo.denominator, tail.hi.denominator)
+    numerators = [x.numerator * (den // x.denominator) for x in terms]
+    fattened = _fold(numerators, tail.hi, den, limit)
+    inner = None if tail.exact else _fold(numerators, tail.lo, den, limit)
+    return CnResult(depth, fattened, inner, tail, spec, cap)
 
 
 def word_interval(spec: SequenceSpec, bits: Sequence[int]) -> ClosedInterval:

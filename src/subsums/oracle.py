@@ -1,8 +1,8 @@
 """Brute-force ground truth for the cover construction.
 
-Everything here enumerates all 2^n subset sums of a truncation directly,
-with no endpoint-set sharing, so it can cross-check the recursive builder
-and the signed reduction. The depth limit keeps runs at desk scale.
+Everything here enumerates all 2^n subset sums of a truncation, so it can
+cross-check the component-fold builder, which never forms them, and the
+signed reduction. The depth limit keeps runs at desk scale.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from typing import Optional
 from .errors import DepthLimit, DivergentTail
 from .intervals import ClosedInterval, IntervalUnion, normalize
 from .rational import as_fraction
+from .sequences import positive_spec
 
 DEPTH_LIMIT = 20
 
@@ -30,12 +31,17 @@ def _first_terms(spec, n: int) -> list:
     return list(itertools.islice(spec.terms(), n))
 
 
+def check_depth(n: int) -> None:
+    """Raise DepthLimit when n is past the enumeration limit."""
+    if n > DEPTH_LIMIT:
+        raise DepthLimit(f"oracle depth {n} exceeds the hard limit {DEPTH_LIMIT}")
+
+
 def subset_sums(spec, n: int) -> SubsetSumTable:
     """Enumerate every subset sum of the first n terms (signed allowed)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > DEPTH_LIMIT:
-        raise DepthLimit(f"oracle depth {n} exceeds the hard limit {DEPTH_LIMIT}")
+    check_depth(n)
     terms = _first_terms(spec, n)
     sums = {Fraction(0)}
     for x in terms:
@@ -44,9 +50,11 @@ def subset_sums(spec, n: int) -> SubsetSumTable:
 
 
 def oracle_cn(spec, n: int) -> IntervalUnion:
-    """Fattened depth-n cover computed purely by enumeration."""
-    if spec.negated:
-        raise ValueError("the oracle cover needs a positive spec")
+    """Fattened depth-n cover computed purely by enumeration.
+
+    Takes the specs build_cn takes, all-positive merges included.
+    """
+    spec = positive_spec(spec)
     tail = spec.tail_sum(n)
     if tail.hi is None:
         raise DivergentTail("the sequence is not summable")

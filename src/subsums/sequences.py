@@ -676,6 +676,19 @@ def sign_split(spec) -> tuple:
     return pos, neg, plus, minus
 
 
+def positive_spec(spec) -> SequenceSpec:
+    """The positive spec that defines the covers of a spec or merge.
+
+    A SequenceSpec is returned as is; a merge becomes the non-increasing
+    merge of its parts, the positive part of sign_split. Raises ValueError
+    when any part is negated.
+    """
+    merged = as_merged(spec)
+    if any(p.negated for p in merged.parts):
+        raise ValueError("covers are defined for positive specs")
+    return spec if isinstance(spec, SequenceSpec) else _combine_parts(merged.parts)
+
+
 def summability_class(spec) -> SummabilityClass:
     _, _, plus, minus = sign_split(spec)
     plus_finite = plus.hi is not None

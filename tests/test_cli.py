@@ -114,6 +114,42 @@ def test_oracle_disagreement_exit(capsys, monkeypatch):
     assert "cn:" in out and "oracle:" in out
 
 
+def test_oracle_on_positive_merge(capsys, tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps({"merge": [
+        {"tail": {"kind": "geometric", "a": "1/2", "rho": "1/3"}},
+        {"tail": {"kind": "multigeometric", "ratios": ["1/2", "2/3"], "total": "1"}},
+    ]}))
+    code, out, _ = run(
+        capsys, "oracle", "--seq", str(path), "--depth", "6", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle_agrees"] is True
+    assert payload["hull"] == ["0", "7/4"]
+
+
+def test_cover_of_signed_merge_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"merge": [
+        {"tail": {"kind": "geometric", "a": "1/2", "rho": "1/3"}},
+        {"tail": {"kind": "geometric", "a": "1/4", "rho": "1/2"}, "negated": True},
+    ]}))
+    code, _, err = run(capsys, "cn", "--seq", str(path))
+    assert code == 1
+    assert "positive" in err
+
+
+def test_oracle_depth_limit_fires_before_build(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_cn ran past the oracle depth limit")
+
+    monkeypatch.setattr(cli, "build_cn", no_build)
+    code, _, err = run(capsys, "oracle", "--seq", "thirds", "--depth", "21")
+    assert code == 2
+    assert "DepthLimit" in err
+
+
 def test_fill_json(capsys):
     code, out, _ = run(
         capsys, "fill", "--seq", "harmonic", "--target", "5/6",

@@ -2,6 +2,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsums as S
 
@@ -89,6 +91,61 @@ def test_cap_per_call_and_env(monkeypatch):
         S.build_cn(spec, 10)
     monkeypatch.delenv("SUBSUMS_ENDPOINT_CAP")
     assert S.default_cap() == 1 << 22
+
+
+def test_cap_counts_components_after_each_fold_step():
+    # 2^200 subset sums, one component.
+    assert S.build_cn(S.PRESETS["halves"], 200, cap=1).fattened == union_of((0, 1))
+    with pytest.raises(S.CapExceeded):
+        S.build_cn(S.PRESETS["gn"], 40, cap=65536)
+
+
+def test_left_endpoints_are_subset_sum_starts():
+    for name in ("gn", "halves"):
+        spec = S.PRESETS[name]
+        assert S.build_cn(spec, 3).left_endpoints == S.subset_sum_starts(spec, 3)
+
+
+def test_positive_merge_cover_is_that_of_its_reordering():
+    parts = (S.geometric(F(1, 2), F(1, 3)), S.multi_geometric((F(1, 2), F(2, 3)), F(1)))
+    merged = S.MergedSpec(parts)
+    reordered = S.sign_split(merged)[0]
+    for n in (0, 3, 7):
+        cover = S.build_cn(merged, n).fattened
+        assert cover == S.build_cn(reordered, n).fattened
+        assert cover == S.oracle_cn(merged, n)
+    signed = S.MergedSpec((parts[0], S.geometric(F(1, 4), F(1, 2), negated=True)))
+    with pytest.raises(ValueError):
+        S.build_cn(signed, 3)
+    with pytest.raises(ValueError):
+        S.oracle_cn(signed, 3)
+
+
+_values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
+_ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+_tails = st.one_of(
+    st.builds(S.GeometricTail, _values, _ratios),
+    st.builds(
+        S.MultiGeometricTail, st.lists(_ratios, min_size=1, max_size=3).map(tuple), _values
+    ),
+    st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
+)
+_specs = st.builds(S.SequenceSpec, st.lists(_values, max_size=3).map(tuple), _tails)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs, st.integers(0, 10))
+def test_fold_matches_enumeration(spec, depth):
+    result = S.build_cn(spec, depth)
+    assert result.fattened == S.oracle_cn(spec, depth)
+    tail = spec.tail_sum(depth)
+    if tail.exact:
+        assert result.inner is None
+    else:
+        sums = S.subset_sums(spec, depth).sums
+        assert result.inner == S.normalize(S.ClosedInterval(s, s + tail.lo) for s in sums)
+        assert S.is_subset(result.inner, result.fattened)
+    assert S.is_subset(S.build_cn(spec, depth + 1).fattened, result.fattened)
 
 
 def test_word_interval_examples():
