@@ -81,6 +81,7 @@ from .sequences import (
     TailEnclosure,
     TermTailRelation,
     as_merged,
+    combine_parts,
     compare_term_tail,
     drop_first,
     finite,

@@ -10,16 +10,18 @@ non-increasing order with exact term/tail comparisons:
 * two-ratio periodic tails whose two-step contraction is below 1/4
   -> Cantor set (cover component lengths die out geometrically);
 * integer digit strands over a base whose subset sums cover every residue,
-  plus a periodic gap pattern -> symmetric Cantorval.
+  plus a periodic gap pattern -> symmetric Cantorval (coverage is the whole
+  certificate: digit strings over a complete residue system are injective
+  mod 1, as digit_coverage_test proves).
 
 Signed sequences are reduced by splitting signs: the subsum set is the
-absolute-value subsum set translated by the sum of the negative part, and
-non-absolutely-summable sequences give the whole line or a half line.
+absolute-value subsum set (combine_parts of both parts) translated by the
+sum of the negative part, and non-absolutely-summable sequences give the
+whole line or a half line.
 Anything not certified is reported Undetermined, never guessed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +39,7 @@ from .sequences import (
     SummabilityClass,
     TermTailRelation,
     as_merged,
+    combine_parts,
     compare_term_tail,
     is_nonincreasing,
     nonincreasing_reorder,
@@ -50,10 +53,6 @@ DEFAULT_HORIZON = 24
 # Depths tried past the stabilization index when pinning an exact component
 # count with inexact tails.
 COUNT_DEPTH_SLACK = 6
-
-# Digit-string injectivity is brute-checked on all strings up to this many
-# combinations.
-INJECTIVITY_SAMPLE_LIMIT = 1024
 
 
 class EventualKind(Enum):
@@ -174,18 +173,12 @@ def _analytic_eventual(spec: SequenceSpec):
         pattern = [r > HALF for r in kind.ratios]
         return _periodic_region(spec, prefix_len, pattern), None
     if isinstance(kind, MergeTail):
-        strands = kind.parts
-        if not all(
-            not s.prefix and isinstance(s.tail, GeometricTail) for s in strands
-        ):
-            return None, None
-        ratios = {s.tail.ratio for s in strands}
-        if len(ratios) != 1:
+        if kind.common_ratio() is None:
             return None, None
         # Scaling the merged multiset by the common ratio reproduces it
         # minus the strand heads, so comparisons repeat with period m once
         # every strand has emitted its first term.
-        m = len(strands)
+        m = len(kind.parts)
         stable_from = max(1, max(kind.merged_positions()) - m + 1)
         window = [
             compare_term_tail(spec, prefix_len + stable_from + j)
@@ -236,16 +229,16 @@ def term_tail_profile(
 class CoverageCertificate:
     """Subset sums of the strand numerators cover every residue mod base.
 
-    representatives holds one digit per residue class; finite digit strings
-    over them were brute-checked to have pairwise distinct fractional
-    parts up to injectivity_depth places.
+    digits holds every subset sum; representatives holds the least digit in
+    each residue class, a complete residue system mod base, so digit
+    strings over them of any length have pairwise distinct fractional parts
+    (see digit_coverage_test).
     """
 
     base: int
     numerators: tuple
     digits: tuple
     representatives: tuple
-    injectivity_depth: int
 
 
 def digit_form(spec: SequenceSpec) -> tuple:
@@ -266,16 +259,10 @@ def digit_form(spec: SequenceSpec) -> tuple:
         heads = tuple(kind.term(j + 1) for j in range(len(kind.ratios)))
         ratio = kind.period_factor
     elif isinstance(kind, MergeTail):
-        strands = kind.parts
-        if not all(
-            not s.prefix and isinstance(s.tail, GeometricTail) for s in strands
-        ):
-            raise NotDigitForm("merged strands are not geometric")
-        ratios = {s.tail.ratio for s in strands}
-        if len(ratios) != 1:
-            raise NotDigitForm("strand ratios differ")
-        heads = tuple(s.tail.first for s in strands)
-        ratio = ratios.pop()
+        ratio = kind.common_ratio()
+        if ratio is None:
+            raise NotDigitForm("merged strands are not geometric with one ratio")
+        heads = tuple(s.tail.first for s in kind.parts)
     else:
         raise NotDigitForm(f"no digit reduction for {type(kind).__name__}")
     if ratio.numerator != 1 or ratio.denominator < 2:
@@ -295,7 +282,12 @@ def digit_coverage_test(base: int, numerators) -> Optional[CoverageCertificate]:
 
     Returns None when some residue is missed. Coverage plus the distinct
     fractional parts of finite digit strings force the subsum set to have
-    nonempty interior.
+    nonempty interior. Distinctness needs no check: the representatives are
+    a complete residue system mod base, and the string d_1 ... d_k stands
+    for the integer d_1 base^(k-1) + ... + d_k mod base^k. Its residue
+    mod base fixes d_k; removing d_k and dividing by base leaves a
+    (k-1)-digit string, so by induction the base^k strings of length k map
+    one-to-one onto Z/base^k.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
@@ -312,20 +304,7 @@ def digit_coverage_test(base: int, numerators) -> Optional[CoverageCertificate]:
     representatives = tuple(
         min(d for d in digits if d % base == r) for r in range(base)
     )
-    depth = 1
-    while base ** (depth + 1) <= INJECTIVITY_SAMPLE_LIMIT:
-        depth += 1
-    seen = set()
-    for word in itertools.product(representatives, repeat=depth):
-        value = sum(
-            Fraction(digit, base**place)
-            for place, digit in enumerate(word, start=1)
-        )
-        fractional = value - (value.numerator // value.denominator)
-        seen.add(fractional)
-    if len(seen) != base**depth:
-        return None
-    return CoverageCertificate(base, numerators, digits, representatives, depth)
+    return CoverageCertificate(base, numerators, digits, representatives)
 
 
 # --- verdicts -------------------------------------------------------------------
@@ -433,7 +412,7 @@ def classify(
     hull_lo = minus.lo
     hull_hi = plus.hi
     hull_exact = minus.exact and plus.exact
-    abs_spec = _combine_absolute(pos, neg.absolute())
+    abs_spec = combine_parts((pos, neg.absolute()))
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
@@ -553,19 +532,6 @@ def classify(
         translation=translation,
         known_infinitely_many=analytic_io,
         profile=profile,
-    )
-
-
-def _combine_absolute(pos: SequenceSpec, neg_abs: SequenceSpec) -> SequenceSpec:
-    if neg_abs.term_count() == 0:
-        return pos
-    if pos.term_count() == 0:
-        return neg_abs
-    return SequenceSpec(
-        (),
-        MergeTail(
-            (nonincreasing_reorder(pos), nonincreasing_reorder(neg_abs))
-        ),
     )
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import CapExceeded, EmptyUnion
+from .errors import EmptyUnion
 from .rational import as_fraction, format_rational
 
 ZERO = Fraction(0)
@@ -81,12 +81,8 @@ class IntervalUnion:
 EMPTY_UNION = IntervalUnion(())
 
 
-def normalize(intervals: Iterable[ClosedInterval], cap: Optional[int] = None) -> IntervalUnion:
-    """Sort, merge overlapping or abutting intervals, and dedupe.
-
-    With a cap, raises CapExceeded as soon as the merged component count
-    would pass it.
-    """
+def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
+    """Sort, merge overlapping or abutting intervals, and dedupe."""
     items = sorted(intervals, key=lambda iv: (iv.left, iv.right))
     merged: list[ClosedInterval] = []
     for iv in items:
@@ -96,13 +92,11 @@ def normalize(intervals: Iterable[ClosedInterval], cap: Optional[int] = None) ->
                 merged[-1] = ClosedInterval(last.left, iv.right)
         else:
             merged.append(iv)
-            if cap is not None and len(merged) > cap:
-                raise CapExceeded(f"more than {cap} components")
     return IntervalUnion(tuple(merged))
 
 
-def union(a: IntervalUnion, b: IntervalUnion, cap: Optional[int] = None) -> IntervalUnion:
-    return normalize(tuple(a) + tuple(b), cap=cap)
+def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    return normalize(tuple(a) + tuple(b))
 
 
 def translate(u: IntervalUnion, offset) -> IntervalUnion:

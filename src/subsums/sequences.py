@@ -98,12 +98,6 @@ class TailEnclosure:
         hi = None if self.lo is None else -self.lo
         return TailEnclosure(lo, hi)
 
-    def clamp_nonnegative(self) -> TailEnclosure:
-        # Intersect with [0, +inf); used where the enclosed sum is known
-        # nonnegative but interval arithmetic lost that.
-        lo = ZERO if self.lo is None or self.lo < 0 else self.lo
-        return TailEnclosure(lo, self.hi)
-
 
 class FiniteTail:
     """No generated terms after the prefix."""
@@ -272,7 +266,9 @@ class MergeTail:
 
     Used for the non-increasing reordering of multi-geometric tails (one
     geometric strand per residue class) and for combining same-signed parts
-    of a merged spec. Nested merges are flattened.
+    of a merged spec. Nested merges are flattened. walk() is the one heap
+    merge; terms, positions, consumed counts and tail enclosures all read
+    it.
     """
 
     parts: tuple
@@ -297,26 +293,29 @@ class MergeTail:
     def divergent(self) -> bool:
         return any(part.divergent for part in self.parts)
 
-    def terms(self) -> Iterator[Fraction]:
+    def walk(self) -> Iterator[tuple]:
+        """(value, part index) pairs in merged order; ties go to the lower index."""
+        streams = [part.terms() for part in self.parts]
         heap = []
-        streams = []
-        for idx, part in enumerate(self.parts):
-            stream = part.terms()
-            streams.append(stream)
+        for idx, stream in enumerate(streams):
             head = next(stream, None)
             if head is not None:
-                heapq.heappush(heap, (-head, idx))
+                heap.append((-head, idx))
+        heapq.heapify(heap)
         while heap:
             value, idx = heapq.heappop(heap)
-            yield -value
+            yield -value, idx
             head = next(streams[idx], None)
             if head is not None:
                 heapq.heappush(heap, (-head, idx))
 
+    def terms(self) -> Iterator[Fraction]:
+        for value, _ in self.walk():
+            yield value
+
     def term(self, index: int) -> Fraction:
-        for i, value in enumerate(self.terms(), start=1):
-            if i == index:
-                return value
+        for value, _ in itertools.islice(self.walk(), index - 1, None):
+            return value
         raise IndexBeyondFinite(f"merged sequence has no term {index}")
 
     def term_count(self) -> Optional[int]:
@@ -325,34 +324,34 @@ class MergeTail:
             return None
         return sum(counts)
 
+    def consumed(self, count: int) -> list:
+        """Per-part term counts of the first `count` merged terms."""
+        used = [0] * len(self.parts)
+        for _, idx in itertools.islice(self.walk(), count):
+            used[idx] += 1
+        return used
+
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         total = TailEnclosure.point(ZERO)
-        for part in self.parts:
-            total = total + part.tail_sum(0, extra=extra)
-        consumed = sum(itertools.islice(self.terms(), skip), start=ZERO)
-        return total.shift(-consumed).clamp_nonnegative()
+        for part, used in zip(self.parts, self.consumed(skip)):
+            total = total + part.tail_sum(used, extra=extra)
+        return total
 
     def merged_positions(self) -> tuple:
         """Position at which each part emits its first term."""
-        heap = []
-        streams = []
-        for idx, part in enumerate(self.parts):
-            stream = part.terms()
-            streams.append(stream)
-            head = next(stream, None)
-            if head is not None:
-                heap.append((-head, idx))
-        heapq.heapify(heap)
         first_pos = {}
-        pos = 0
-        while heap and len(first_pos) < len(self.parts):
-            _, idx = heapq.heappop(heap)
-            pos += 1
+        for pos, (_, idx) in enumerate(self.walk(), start=1):
             first_pos.setdefault(idx, pos)
-            head = next(streams[idx], None)
-            if head is not None:
-                heapq.heappush(heap, (-head, idx))
+            if len(first_pos) == len(self.parts):
+                break
         return tuple(first_pos.get(i) for i in range(len(self.parts)))
+
+    def common_ratio(self) -> Optional[Fraction]:
+        """The shared ratio when every part is a prefix-free geometric strand."""
+        if not all(not p.prefix and isinstance(p.tail, GeometricTail) for p in self.parts):
+            return None
+        ratios = {p.tail.ratio for p in self.parts}
+        return ratios.pop() if len(ratios) == 1 else None
 
 
 TailKind = Union[FiniteTail, GeometricTail, PowerSumTail, MultiGeometricTail, MergeTail]
@@ -555,30 +554,9 @@ def drop_first(spec: SequenceSpec, count: int) -> SequenceSpec:
         rotated = tuple(kind.ratios[(count + j) % m] for j in range(m))
         return SequenceSpec((), MultiGeometricTail(rotated, kind.remaining(count)))
     if isinstance(kind, MergeTail):
-        consumed = [0] * len(kind.parts)
-        heap = []
-        streams = []
-        for idx, part in enumerate(kind.parts):
-            stream = part.terms()
-            streams.append(stream)
-            head = next(stream, None)
-            if head is not None:
-                heap.append((-head, idx))
-        heapq.heapify(heap)
-        for _ in range(count):
-            if not heap:
-                break
-            _, idx = heapq.heappop(heap)
-            consumed[idx] += 1
-            head = next(streams[idx], None)
-            if head is not None:
-                heapq.heappush(heap, (-head, idx))
-        parts = [
-            drop_first(part, used)
-            for part, used in zip(kind.parts, consumed)
-        ]
-        parts = [p for p in parts if p.term_count() != 0]
-        return _wrap_merge(parts)
+        return _wrap_merge(
+            drop_first(part, used) for part, used in zip(kind.parts, kind.consumed(count))
+        )
     raise UnsupportedKind(f"unknown tail kind {type(kind).__name__}")
 
 
@@ -649,8 +627,12 @@ class SummabilityClass(Enum):
     UNCONDITIONALLY_UNSUMMABLE = "unconditionally-unsummable"
 
 
-def _combine_parts(parts) -> SequenceSpec:
-    """One positive spec carrying all terms of the given positive parts."""
+def combine_parts(parts) -> SequenceSpec:
+    """One positive spec carrying all terms of the given positive parts.
+
+    A lone nonempty part is returned as is; several become the descending
+    merge of their non-increasing reorderings.
+    """
     parts = [p for p in parts if not (p.is_finite and not p.prefix)]
     if not parts:
         return EMPTY
@@ -668,8 +650,8 @@ def sign_split(spec) -> tuple:
     merged = as_merged(spec)
     pos_parts = [p for p in merged.parts if not p.negated]
     neg_parts = [p.absolute() for p in merged.parts if p.negated]
-    pos = _combine_parts(pos_parts)
-    neg_abs = _combine_parts(neg_parts)
+    pos = combine_parts(pos_parts)
+    neg_abs = combine_parts(neg_parts)
     plus = pos.total()
     minus = neg_abs.total().negate()
     neg = SequenceSpec(neg_abs.prefix, neg_abs.tail, negated=True)
@@ -686,7 +668,7 @@ def positive_spec(spec) -> SequenceSpec:
     merged = as_merged(spec)
     if any(p.negated for p in merged.parts):
         raise ValueError("covers are defined for positive specs")
-    return spec if isinstance(spec, SequenceSpec) else _combine_parts(merged.parts)
+    return spec if isinstance(spec, SequenceSpec) else combine_parts(merged.parts)
 
 
 def summability_class(spec) -> SummabilityClass:

@@ -265,6 +265,11 @@ def test_digit_coverage_examples():
     assert cert is not None
     assert cert.digits == (0, 2, 3, 5)
 
+    for base, numerators in ((4, (6, 1)), (4, (3, 2)), (3, (1, 1)), (7, (1, 2, 4))):
+        cert = S.digit_coverage_test(base, numerators)
+        assert sorted(r % base for r in cert.representatives) == list(range(base))
+        assert not hasattr(cert, "injectivity_depth")
+
     assert S.digit_coverage_test(3, (1,)) is None
 
     with pytest.raises(ValueError):

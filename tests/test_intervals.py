@@ -43,11 +43,6 @@ def test_normalize_keeps_disjoint_and_sorts():
     assert [p.left for p in u] == [F(0), F(3, 2), F(3)]
 
 
-def test_normalize_cap():
-    with pytest.raises(S.CapExceeded):
-        S.normalize((iv(2 * i, 2 * i + 1) for i in range(5)), cap=4)
-
-
 @given(st.lists(st.tuples(rationals, rationals), max_size=12))
 def test_normalize_idempotent_and_order_insensitive(pairs):
     raw = [iv(min(a, b), max(a, b)) for a, b in pairs]

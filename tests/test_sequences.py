@@ -1,10 +1,14 @@
 """Sequence kinds: terms, tails, reordering, signs, comparisons."""
+import heapq
 import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsums as S
+from subsums.sequences import REFINEMENT_STEPS
 
 
 def take(spec, n):
@@ -260,3 +264,47 @@ def test_tail_sum_rejects_negated():
     with pytest.raises(ValueError):
         spec.tail_sum(0)
     assert spec.absolute().tail_sum(0).value == F(1)
+
+
+_values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
+_ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+_merge_parts = st.one_of(
+    st.builds(S.geometric, _values, _ratios),
+    st.builds(S.multi_geometric, st.lists(_ratios, min_size=2, max_size=3), _values),
+    st.builds(S.power_sum, st.sampled_from((2, 3)), st.integers(1, 4)),
+    st.builds(S.finite, st.lists(_values, min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_merge_parts, min_size=2, max_size=4), st.integers(0, 30))
+def test_merge_walk_matches_heapq_reference(parts, skip):
+    merged = S.SequenceSpec((), S.MergeTail(tuple(S.nonincreasing_reorder(p) for p in parts)))
+    kind = merged.tail
+    window = skip + 50
+    reference = list(itertools.islice(
+        heapq.merge(*(p.terms() for p in kind.parts), reverse=True), window
+    ))
+    assert take(merged, window) == reference
+    for i in (1, skip + 1, len(reference)):
+        if i <= len(reference):
+            assert kind.term(i) == reference[i - 1]
+    assert take(S.drop_first(merged, skip), 50) == reference[skip:]
+
+    walk = list(itertools.islice(kind.walk(), window))
+    firsts = tuple(
+        next((pos for pos, (_, idx) in enumerate(walk, start=1) if idx == j), None)
+        for j in range(len(kind.parts))
+    )
+    if None not in firsts:
+        assert kind.merged_positions() == firsts
+
+    if not any(isinstance(p.tail, S.PowerSumTail) for p in kind.parts):
+        total = sum((p.total().value for p in kind.parts), start=F(0))
+        assert merged.tail_sum(skip).value == total - sum(reference[:skip], start=F(0))
+    else:
+        brackets = [merged.tail_sum(skip, extra=e) for e in (0,) + REFINEMENT_STEPS]
+        for wide, narrow in zip(brackets, brackets[1:]):
+            assert wide.lo <= narrow.lo <= narrow.hi <= wide.hi
+        assert brackets[-1].hi >= sum(reference[skip:], start=F(0))
+        assert brackets[-1].width < brackets[0].width
