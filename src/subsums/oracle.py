@@ -1,8 +1,11 @@
-"""Brute-force ground truth for the cover construction.
+"""Brute-force ground truth for the cover construction, and point probes.
 
-Everything here enumerates all 2^n subset sums of a truncation, so it can
-cross-check the component-fold builder, which never forms them, and the
-signed reduction. The depth limit keeps runs at desk scale.
+subset_sums and oracle_cn enumerate all 2^n subset sums of a truncation,
+so they can cross-check the component-fold builder, which never forms
+them, and the signed reduction. membership_probe is the exception: a
+third algorithm, independent of both, that follows only the residuals of
+one point through a pruned search. The depth limit keeps runs at desk
+scale.
 """
 from __future__ import annotations
 
@@ -81,13 +84,44 @@ class MembershipResult:
 
 
 def membership_probe(spec, point, depth: int) -> MembershipResult:
-    """Test the point against the fattened covers at depths 0..depth."""
+    """Test the point against the fattened covers at depths 0..depth.
+
+    The point lies in C_n exactly when some subset sum s of x_1..x_n leaves
+    a residual point - s in [0, X_n], X_n = tail_sum(n).hi. The search keeps
+    the frontier of such residuals level by level: at depth n >= 1 each
+    residual r branches into r and r - x_n (no branch past a finite spec's
+    last term), and at every depth only residuals in [0, X_n] survive,
+    deduplicated. excluded_at is the first depth whose frontier is empty.
+
+    Pruning loses nothing because the covers are nested: for every tail
+    kind X_{n-1} >= x_n + X_n. Finite, geometric and multi-geometric tails
+    and prefixes meet it with equality. Past the explicit first term of a
+    power sum that starts at k = 1, its bound is the integral of t^-p from
+    b to infinity, so X_{n-1} - X_n is the integral over [b, b+1], at
+    least x_n = (b+1)^-p. A merge bound is the sum of its parts' bounds at
+    their consumed counts; x_n raises one part's count by one, and that
+    part's own bound drops by at least x_n. Hence a residual in [0, X_n]
+    has every ancestor residual in [0, X_k], k < n, and the frontier at
+    depth n is nonempty exactly when the point lies in C_n. The frontier
+    is a subset of point - (subset sums of x_1..x_n); in practice it holds
+    a handful of residuals.
+    """
     point = as_fraction(point)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > DEPTH_LIMIT:
         raise DepthLimit(f"probe depth {depth} exceeds the hard limit {DEPTH_LIMIT}")
+    spec = positive_spec(spec)
+    terms = spec.terms()
+    frontier = {point}
     for n in range(depth + 1):
-        if not oracle_cn(spec, n).contains(point):
+        bound = spec.tail_sum(n).hi
+        if bound is None:
+            raise DivergentTail("the sequence is not summable")
+        term = next(terms, None) if n else None
+        if term is not None:
+            frontier |= {r - term for r in frontier}
+        frontier = {r for r in frontier if 0 <= r <= bound}
+        if not frontier:
             return MembershipResult(point, depth, n)
     return MembershipResult(point, depth, None)

@@ -280,6 +280,8 @@ class MergeTail:
                 raise TypeError("merge parts must be sequence specs")
             if part.negated:
                 raise ValueError("merge parts must be positive")
+            if part.is_finite and not part.prefix:
+                raise ValueError("merge parts must be nonempty")
             if not part.prefix and isinstance(part.tail, MergeTail):
                 flat.extend(part.tail.parts)
             else:

@@ -3,8 +3,12 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsums as S
+from subsums import oracle
+from subsums.sequences import positive_spec
 
 
 def test_subset_sums_thirds():
@@ -109,3 +113,78 @@ def test_membership_probe_gn_interior():
 def test_membership_probe_outside_hull():
     result = S.membership_probe(S.PRESETS["thirds"], F(2), 5)
     assert result.excluded_at == 0
+
+
+def _reference_exclusion(spec, point, depth):
+    return next((n for n in range(depth + 1) if not S.oracle_cn(spec, n).contains(point)), None)
+
+
+_values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
+_ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+_tails = st.one_of(
+    st.builds(S.GeometricTail, _values, _ratios),
+    st.builds(
+        S.MultiGeometricTail, st.lists(_ratios, min_size=2, max_size=3).map(tuple), _values
+    ),
+    st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
+)
+_finite = st.builds(S.finite, st.lists(_values, min_size=1, max_size=4))
+_merge_parts = st.one_of(st.builds(S.SequenceSpec, st.just(()), _tails), _finite)
+_probe_specs = st.one_of(
+    st.builds(S.SequenceSpec, st.lists(_values, max_size=3).map(tuple), _tails),
+    st.builds(lambda a, b: S.MergedSpec((a, b)), _merge_parts, _merge_parts),
+    _finite,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_specs, st.integers(0, 10), st.data())
+def test_probe_matches_per_depth_covers(spec, depth, data):
+    positive = positive_spec(spec)
+    n = data.draw(st.integers(0, depth))
+    terms = list(itertools.islice(positive.terms(), n))
+    picks = data.draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    subsum = sum((t for t, keep in zip(terms, picks) if keep), F(0))
+    cover = S.oracle_cn(spec, n).intervals
+    gaps = [(a.right + b.left) / 2 for a, b in zip(cover, cover[1:])]
+    total = positive.total().hi
+    candidates = [subsum, subsum + positive.tail_sum(n).hi, -total / 3, total + F(1, 7)] + gaps
+    point = data.draw(st.sampled_from(candidates))
+    expected = S.MembershipResult(point, depth, _reference_exclusion(spec, point, depth))
+    assert S.membership_probe(spec, point, depth) == expected
+
+
+def test_probe_builds_no_cover(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership_probe must not enumerate covers")
+
+    monkeypatch.setattr(oracle, "oracle_cn", refuse)
+    monkeypatch.setattr(oracle, "subset_sums", refuse)
+    assert S.membership_probe(S.PRESETS["thirds"], F(1, 4), 8).excluded_at == 1
+    assert S.membership_probe(S.PRESETS["gn"], F(7, 8), 14).in_all_tested
+
+
+def test_probe_error_order():
+    harmonic = S.PRESETS["harmonic"]
+    with pytest.raises(S.DepthLimit):
+        S.membership_probe(harmonic, F(1), S.DEPTH_LIMIT + 1)
+    with pytest.raises(ValueError):
+        S.membership_probe(S.PRESETS["thirds"], F(1, 3), -1)
+    with pytest.raises(ValueError):
+        S.membership_probe(S.geometric(F(1, 2), F(1, 2), negated=True), F(1, 3), 3)
+    with pytest.raises(S.DivergentTail):
+        S.membership_probe(harmonic, F(1), 3)
+
+
+def test_probe_at_depth_limit_agrees_with_fold():
+    gn = S.PRESETS["gn"]
+    depth = S.DEPTH_LIMIT
+    cover = S.build_cn(gn, depth).fattened.intervals
+    member = cover[len(cover) // 3].left
+    assert S.membership_probe(gn, member, depth).in_all_tested
+    narrow = min(zip(cover, cover[1:]), key=lambda pair: pair[1].left - pair[0].right)
+    midpoint = (narrow[0].right + narrow[1].left) / 2
+    excluded = S.membership_probe(gn, midpoint, depth).excluded_at
+    assert excluded is not None
+    assert not S.build_cn(gn, excluded).fattened.contains(midpoint)
+    assert S.build_cn(gn, excluded - 1).fattened.contains(midpoint)

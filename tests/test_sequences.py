@@ -118,6 +118,13 @@ def test_merge_tail_orders_terms_descending():
     assert merged.total().value == F(7, 3)
 
 
+def test_merge_tail_rejects_empty_parts():
+    geo = S.geometric(F(1), F(1, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        S.MergeTail((S.EMPTY, geo))
+    assert S.combine_parts([S.EMPTY, geo]) == geo
+
+
 def test_merged_spec_round_robin_puts_positives_first():
     signed = S.MergedSpec((
         S.geometric(F(1, 4), F(1, 4)),
