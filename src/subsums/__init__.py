@@ -20,14 +20,10 @@ from .classify import (
     term_tail_profile,
 )
 from .construction import (
-    AffineMap,
     CnResult,
     build_cn,
     default_cap,
-    ifs_maps,
-    leftmost_gap_check,
     subset_sum_starts,
-    word_interval,
 )
 from .errors import (
     CapExceeded,

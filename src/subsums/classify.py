@@ -1,29 +1,34 @@
 """Classification of subsum sets with explicit certificates.
 
-The driving facts, all phrased for positive summable sequences in
-non-increasing order with exact term/tail comparisons:
+classify splits signs once and tries these rules in order; the first
+that fires gives the verdict:
 
-* tail bounds term from some index on  -> finite union of closed intervals
-  (the cover stabilizes; component count between 2^(#gap events) and
-  2^(last gap index));
-* term exceeds tail at every index     -> Cantor set;
-* two-ratio periodic tails whose two-step contraction is below 1/4
-  -> Cantor set (cover component lengths die out geometrically);
-* integer digit strands over a base whose subset sums cover every residue,
-  plus a periodic gap pattern -> symmetric Cantorval (coverage is the whole
-  certificate: digit strings over a complete residue system are injective
-  mod 1, as digit_coverage_test proves).
+1. summability: a sequence that is not absolutely summable gives the
+   whole line (both parts diverge) or a half line (one part diverges);
+2. finite spec -> finite union of closed intervals, counted on the cover
+   at the last term;
+3. tail bounds term from some index on -> finite union of closed
+   intervals (the cover stabilizes; component count between
+   2^(#gap events) and 2^(last gap index));
+4. term exceeds tail at every index -> Cantor set;
+5. prefix-free non-increasing two-ratio tail whose two-step contraction
+   is below 1/4 -> Cantor set (cover component lengths die out
+   geometrically);
+6. integer digit strands over a base whose subset sums cover every
+   residue, plus a periodic gap pattern -> symmetric Cantorval (coverage
+   is the whole certificate: digit strings over a complete residue
+   system are injective mod 1, as digit_coverage_test proves).
 
+Rules 3-6 read the term/tail profile of the non-increasing reordering.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
-sum of the negative part, and non-absolutely-summable sequences give the
-whole line or a half line.
+sum of the negative part.
 Anything not certified is reported Undetermined, never guessed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -38,17 +43,19 @@ from .sequences import (
     SequenceSpec,
     SummabilityClass,
     TermTailRelation,
-    as_merged,
     combine_parts,
     compare_term_tail,
-    is_nonincreasing,
     nonincreasing_reorder,
     sign_split,
+    summability_of,
 )
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 DEFAULT_HORIZON = 24
+
+# Component cap of the covers classify builds to count components.
+COUNT_CAP = 1 << 18
 
 # Depths tried past the stabilization index when pinning an exact component
 # count with inexact tails.
@@ -88,9 +95,13 @@ class TermTailProfile:
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
 
-
-def _pointwise(spec: SequenceSpec, indices) -> dict:
-    return {n: compare_term_tail(spec, n) for n in indices}
+    @property
+    def gaps_recur(self) -> bool:
+        """Whether terms are proven to exceed their tails infinitely often."""
+        return self.eventual is not None and self.eventual.kind in (
+            EventualKind.ALL_EXCEED,
+            EventualKind.EXCEEDS_INFINITELY_OFTEN,
+        )
 
 
 def _pseries_bound_threshold(exponent: int) -> int:
@@ -109,26 +120,27 @@ def _pseries_bound_threshold(exponent: int) -> int:
 def _region_verdict(
     spec: SequenceSpec,
     head_count: int,
-    region_exceed,
     proof: str,
+    pattern,
+    middle_exceeds=(),
 ) -> EventualVerdict:
     """Combine pointwise head comparisons with an analytic periodic region.
 
-    region_exceed maps a full-sequence index > head_count to True (term
-    exceeds tail), False (tail bounds term) or None (resolve pointwise);
-    the pattern must be eventually periodic so that scanning one period
-    decides the infinite behaviour.
+    pattern says, for one period of the indices past head_count, whether
+    the term exceeds its tail; it repeats forever, so it decides the
+    infinite behaviour. middle_exceeds lists the exceed indices past the
+    head that precede an all-bound pattern (power sums).
     """
-    head = _pointwise(spec, range(1, head_count + 1))
     head_exceeds = [
-        n for n, rel in head.items() if rel is TermTailRelation.TERM_EXCEEDS_TAIL
+        n
+        for n in range(1, head_count + 1)
+        if compare_term_tail(spec, n) is TermTailRelation.TERM_EXCEEDS_TAIL
     ]
-    region_has_exceed, region_all_exceed, middle_exceeds = region_exceed
-    if region_has_exceed:
-        if region_all_exceed and len(head_exceeds) == head_count:
+    if any(pattern):
+        if all(pattern) and len(head_exceeds) == head_count:
             return EventualVerdict(EventualKind.ALL_EXCEED, proof, exceed_count=None)
         return EventualVerdict(EventualKind.EXCEEDS_INFINITELY_OFTEN, proof)
-    exceeds = sorted(head_exceeds + middle_exceeds)
+    exceeds = sorted(head_exceeds + list(middle_exceeds))
     if not exceeds:
         return EventualVerdict(EventualKind.ALL_BOUND, proof, after=0, exceed_count=0)
     return EventualVerdict(
@@ -148,9 +160,10 @@ def _analytic_eventual(spec: SequenceSpec):
     prefix_len = len(spec.prefix)
     kind = spec.tail
     if isinstance(kind, GeometricTail):
-        exceed_forever = kind.ratio < HALF
-        region = (exceed_forever, exceed_forever, [])
-        return _region_verdict(spec, prefix_len, region, "geometric-ratio"), None
+        verdict = _region_verdict(
+            spec, prefix_len, "geometric-ratio", (kind.ratio < HALF,)
+        )
+        return verdict, None
     if isinstance(kind, PowerSumTail):
         if kind.divergent:
             # An infinite tail bounds every term, but divergent specs are
@@ -166,12 +179,14 @@ def _analytic_eventual(spec: SequenceSpec):
                 middle.append(n)
         for k in range(kind.start, min(guaranteed, threshold - 1) + 1):
             middle.append(prefix_len + (k - kind.start) + 1)
-        region = (False, False, middle)
-        verdict = _region_verdict(spec, prefix_len, region, "pseries-monotone")
+        verdict = _region_verdict(
+            spec, prefix_len, "pseries-monotone", (False,), middle
+        )
         return verdict, (guaranteed, threshold)
     if isinstance(kind, MultiGeometricTail):
         pattern = [r > HALF for r in kind.ratios]
-        return _periodic_region(spec, prefix_len, pattern), None
+        verdict = _region_verdict(spec, prefix_len, "multigeometric-period", pattern)
+        return verdict, None
     if isinstance(kind, MergeTail):
         if kind.common_ratio() is None:
             return None, None
@@ -186,14 +201,9 @@ def _analytic_eventual(spec: SequenceSpec):
             for j in range(m)
         ]
         head_count = prefix_len + stable_from - 1
-        return _periodic_region(spec, head_count, window), None
+        verdict = _region_verdict(spec, head_count, "multigeometric-period", window)
+        return verdict, None
     return None, None
-
-
-def _periodic_region(spec, head_count, pattern):
-    """Region verdict when exceed events repeat with the pattern's period."""
-    region = (any(pattern), all(pattern), [])
-    return _region_verdict(spec, head_count, region, "multigeometric-period")
 
 
 def term_tail_profile(
@@ -344,13 +354,7 @@ class Verdict:
     digit_certificate: Optional[CoverageCertificate] = None
 
 
-def _shift(value: Optional[Fraction], offset: Optional[Fraction]) -> Optional[Fraction]:
-    if value is None or offset is None:
-        return None
-    return value + offset
-
-
-def _exact_component_count(spec, stabilized_depth, cap) -> Optional[int]:
+def _exact_component_count(spec, stabilized_depth) -> Optional[int]:
     """Component count of the stabilized cover, when it can be pinned.
 
     The cover stops splitting after the last gap index, so its component
@@ -360,7 +364,7 @@ def _exact_component_count(spec, stabilized_depth, cap) -> Optional[int]:
     """
     for depth in range(stabilized_depth, stabilized_depth + COUNT_DEPTH_SLACK + 1):
         try:
-            cover = build_cn(spec, depth, cap=cap)
+            cover = build_cn(spec, depth, cap=COUNT_CAP)
         except CapExceeded:
             return None
         if cover.tail_exact:
@@ -370,76 +374,47 @@ def _exact_component_count(spec, stabilized_depth, cap) -> Optional[int]:
     return None
 
 
-def classify(
-    spec,
-    horizon: int = DEFAULT_HORIZON,
-    count_cap: int = 1 << 18,
-    digit_base_limit: Optional[int] = None,
-) -> Verdict:
+def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
     """Classify the subsum set of a (possibly signed, merged) spec.
 
     digit_base_limit, when set, skips the digit-coverage certificate for
     bases above it (parameter sweeps cap the denominators they try).
     """
-    merged = as_merged(spec)
-    pos, neg, plus, minus = sign_split(merged)
-    plus_finite = plus.hi is not None
-    minus_finite = minus.lo is not None
-    if not plus_finite and not minus_finite:
-        return Verdict(
-            VerdictKind.WHOLE_LINE,
-            SummabilityClass.CONDITIONALLY_SUMMABLE,
-            hull_lo=None,
-            hull_hi=None,
-        )
-    if not plus_finite or not minus_finite:
-        if not plus_finite:
-            hull_lo, hull_hi = minus.lo, None
-            hull_exact = minus.exact
-        else:
-            hull_lo, hull_hi = None, plus.hi
-            hull_exact = plus.exact
-        return Verdict(
-            VerdictKind.UNBOUNDED_INTERVAL,
-            SummabilityClass.UNCONDITIONALLY_UNSUMMABLE,
-            hull_lo=hull_lo,
-            hull_hi=hull_hi,
-            hull_exact=hull_exact,
-        )
-
-    summability = SummabilityClass.ABSOLUTELY_SUMMABLE
-    translation = minus.value if minus.exact else None
-    hull_lo = minus.lo
-    hull_hi = plus.hi
-    hull_exact = minus.exact and plus.exact
+    pos, neg, plus, minus = sign_split(spec)
+    summability = summability_of(plus, minus)
+    base = Verdict(
+        VerdictKind.UNDETERMINED,
+        summability,
+        hull_lo=minus.lo,
+        hull_hi=plus.hi,
+        hull_exact=all(side.exact for side in (plus, minus) if side.finite),
+    )
+    if summability is SummabilityClass.CONDITIONALLY_SUMMABLE:
+        return replace(base, kind=VerdictKind.WHOLE_LINE)
+    if summability is SummabilityClass.UNCONDITIONALLY_UNSUMMABLE:
+        return replace(base, kind=VerdictKind.UNBOUNDED_INTERVAL)
+    base = replace(base, translation=minus.value if minus.exact else None)
     abs_spec = combine_parts((pos, neg.absolute()))
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
-        cover = build_cn(abs_spec, finite_count, cap=count_cap)
-        count = cover.fattened.components
-        return Verdict(
-            VerdictKind.FINITE_UNION,
-            summability,
-            hull_lo=hull_lo,
-            hull_hi=hull_hi,
-            hull_exact=hull_exact,
+        count = build_cn(abs_spec, finite_count, cap=COUNT_CAP).fattened.components
+        return replace(
+            base,
+            kind=VerdictKind.FINITE_UNION,
             component_lower=count,
             component_upper=count,
             component_count=count,
-            translation=translation,
         )
 
-    profile = term_tail_profile(abs_spec, horizon)
+    profile = term_tail_profile(abs_spec)
+    base = replace(base, profile=profile, known_infinitely_many=profile.gaps_recur)
     reordered = profile.reordered
     eventual = profile.eventual
+    if eventual is None:
+        return base
 
-    if eventual is not None and eventual.kind in (
-        EventualKind.ALL_BOUND,
-        EventualKind.EVENTUALLY_BOUND,
-    ):
-        after = eventual.after or 0
-        exceed_count = eventual.exceed_count or 0
+    if eventual.kind in (EventualKind.ALL_BOUND, EventualKind.EVENTUALLY_BOUND):
         if (
             isinstance(reordered.tail, PowerSumTail)
             and not reordered.prefix
@@ -450,108 +425,50 @@ def classify(
             lower_exp = profile.pseries_exceed_through
             upper_exp = profile.pseries_bound_from
         else:
-            lower_exp = exceed_count
-            upper_exp = after
-        count = _exact_component_count(reordered, after, count_cap)
-        return Verdict(
-            VerdictKind.FINITE_UNION,
-            summability,
-            hull_lo=hull_lo,
-            hull_hi=hull_hi,
-            hull_exact=hull_exact,
+            lower_exp = eventual.exceed_count
+            upper_exp = eventual.after
+        return replace(
+            base,
+            kind=VerdictKind.FINITE_UNION,
             component_lower=2**lower_exp,
             component_upper=2**upper_exp,
-            component_count=count,
-            translation=translation,
-            profile=profile,
+            component_count=_exact_component_count(reordered, eventual.after),
         )
 
-    if eventual is not None and eventual.kind is EventualKind.ALL_EXCEED:
-        return Verdict(
-            VerdictKind.CANTOR_SET,
-            summability,
-            certificate="AllExceed",
-            hull_lo=hull_lo,
-            hull_hi=hull_hi,
-            hull_exact=hull_exact,
-            translation=translation,
-            known_infinitely_many=True,
-            profile=profile,
-        )
+    if eventual.kind is EventualKind.ALL_EXCEED:
+        return replace(base, kind=VerdictKind.CANTOR_SET, certificate="AllExceed")
 
-    analytic_io = (
-        eventual is not None
-        and eventual.kind is EventualKind.EXCEEDS_INFINITELY_OFTEN
-    )
+    # Exceeds infinitely often. On a prefix-free two-ratio reordering (the
+    # spec itself: reordering a non-monotone one yields a merge), that means
+    # one ratio above 1/2 and one not.
+    tail = reordered.tail
+    if (
+        not reordered.prefix
+        and isinstance(tail, MultiGeometricTail)
+        and len(tail.ratios) == 2
+        and tail.period_factor < QUARTER
+    ):
+        return replace(base, kind=VerdictKind.CANTOR_SET, certificate="LambdaBelowQuarter")
 
-    lam = _two_ratio_contraction(abs_spec)
-    if analytic_io and lam is not None and lam < QUARTER:
-        return Verdict(
-            VerdictKind.CANTOR_SET,
-            summability,
-            certificate="LambdaBelowQuarter",
-            hull_lo=hull_lo,
-            hull_hi=hull_hi,
-            hull_exact=hull_exact,
-            translation=translation,
-            known_infinitely_many=True,
-            profile=profile,
-        )
-
-    if analytic_io:
-        try:
-            base, numerators = digit_form(reordered)
-        except NotDigitForm:
-            base = None
-        if base is not None and digit_base_limit is not None and base > digit_base_limit:
-            base = None
-        if base is not None:
-            certificate = digit_coverage_test(base, numerators)
-            if certificate is not None:
-                strength = "Proven" if reordered == abs_spec else "PaperPresumed"
-                return Verdict(
-                    VerdictKind.SYMMETRIC_CANTORVAL,
-                    summability,
-                    certificate="DigitCoverage",
-                    strength=strength,
-                    hull_lo=hull_lo,
-                    hull_hi=hull_hi,
-                    hull_exact=hull_exact,
-                    translation=translation,
-                    known_infinitely_many=True,
-                    profile=profile,
-                    digit_certificate=certificate,
-                )
-
-    return Verdict(
-        VerdictKind.UNDETERMINED,
-        summability,
-        hull_lo=hull_lo,
-        hull_hi=hull_hi,
-        hull_exact=hull_exact,
-        translation=translation,
-        known_infinitely_many=analytic_io,
-        profile=profile,
+    try:
+        digit_base, numerators = digit_form(reordered)
+    except NotDigitForm:
+        return base
+    if digit_base_limit is not None and digit_base > digit_base_limit:
+        return base
+    certificate = digit_coverage_test(digit_base, numerators)
+    if certificate is None:
+        return base
+    return replace(
+        base,
+        kind=VerdictKind.SYMMETRIC_CANTORVAL,
+        certificate="DigitCoverage",
+        strength="Proven" if reordered == abs_spec else "PaperPresumed",
+        digit_certificate=certificate,
     )
 
 
-def _two_ratio_contraction(spec: SequenceSpec) -> Optional[Fraction]:
-    """Two-step contraction of a feasible mixed two-ratio spec, else None."""
-    kind = spec.tail
-    if spec.prefix or not isinstance(kind, MultiGeometricTail) or len(kind.ratios) != 2:
-        return None
-    if not is_nonincreasing(spec):
-        return None
-    a, b = kind.ratios
-    mixed = (a > HALF) != (b > HALF)
-    if not mixed:
-        return None
-    return kind.period_factor
-
-
-def one_point_components(
-    spec: SequenceSpec, depth: int, horizon: int = DEFAULT_HORIZON
-) -> tuple:
+def one_point_components(spec: SequenceSpec, depth: int) -> tuple:
     """Endpoints of the depth-n cover components, each a one-point component.
 
     Needs a gap pattern that recurs forever (term exceeds tail infinitely
@@ -560,13 +477,8 @@ def one_point_components(
     """
     if spec.negated:
         raise ValueError("one-point components are defined on positive specs")
-    profile = term_tail_profile(spec, horizon)
-    eventual = profile.eventual
-    recurs = eventual is not None and eventual.kind in (
-        EventualKind.ALL_EXCEED,
-        EventualKind.EXCEEDS_INFINITELY_OFTEN,
-    )
-    if not recurs:
+    profile = term_tail_profile(spec)
+    if not profile.gaps_recur:
         raise NotApplicable("no recurring gap pattern was established")
     cover = build_cn(profile.reordered, depth)
     if not cover.tail_exact:

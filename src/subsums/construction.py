@@ -20,20 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import CapExceeded, DivergentTail, WrongKind
-from .intervals import ClosedInterval, IntervalUnion, normalize
-from .rational import as_fraction
-from .sequences import (
-    MultiGeometricTail,
-    SequenceSpec,
-    TailEnclosure,
-    TermTailRelation,
-    compare_term_tail,
-    is_nonincreasing,
-    positive_spec,
-)
+from .errors import CapExceeded, DivergentTail
+from .intervals import ClosedInterval, IntervalUnion
+from .sequences import SequenceSpec, TailEnclosure, positive_spec
 
 DEFAULT_ENDPOINT_CAP = 1 << 22
 CAP_ENV_VAR = "SUBSUMS_ENDPOINT_CAP"
@@ -152,17 +143,19 @@ def build_cn(spec, depth: int, cap: Optional[int] = None) -> CnResult:
     """Build the depth-n cover of the subsum set.
 
     Takes a positive summable spec, or a merge of positive specs, whose
-    cover is that of their non-increasing merge. Raises ValueError for
-    negated parts, DivergentTail for a divergent spec, and CapExceeded when
-    a fold step leaves more than cap components (default 2^22, overridable
-    via the SUBSUMS_ENDPOINT_CAP environment variable).
+    cover is that of their non-increasing merge. Raises ValueError for a
+    cap below 1 or negated parts, DivergentTail for a divergent spec, and
+    CapExceeded when a fold step leaves more than cap components (default
+    2^22, overridable via the SUBSUMS_ENDPOINT_CAP environment variable).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    limit = default_cap() if cap is None else cap
+    if limit < 1:
+        raise ValueError("cap must be positive")
     spec = positive_spec(spec)
     if spec.total().hi is None:
         raise DivergentTail("the sequence is not summable")
-    limit = default_cap() if cap is None else cap
     terms = list(itertools.islice(spec.terms(), depth))
     tail = spec.tail_sum(depth)
     den = lcm(*(x.denominator for x in terms), tail.lo.denominator, tail.hi.denominator)
@@ -170,98 +163,3 @@ def build_cn(spec, depth: int, cap: Optional[int] = None) -> CnResult:
     fattened = _fold(numerators, tail.hi, den, limit)
     inner = None if tail.exact else _fold(numerators, tail.lo, den, limit)
     return CnResult(depth, fattened, inner, tail, spec, cap)
-
-
-def word_interval(spec: SequenceSpec, bits: Sequence[int]) -> ClosedInterval:
-    """The cover interval selected by an inclusion word over the first terms.
-
-    bits[k] = 1 includes term k+1 in the start sum; the interval runs from
-    that sum to the sum plus the upper tail bound at depth len(bits).
-    """
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    start = sum(
-        (spec.term(i + 1) for i, b in enumerate(bits) if b), start=Fraction(0)
-    )
-    tail = spec.tail_sum(len(bits))
-    if tail.hi is None:
-        raise DivergentTail("the sequence is not summable")
-    return ClosedInterval(start, start + tail.hi)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> offset + factor * x."""
-
-    factor: Fraction
-    offset: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", as_fraction(self.factor))
-        object.__setattr__(self, "offset", as_fraction(self.offset))
-
-    def apply(self, x):
-        return self.offset + self.factor * as_fraction(x)
-
-    def apply_interval(self, iv: ClosedInterval) -> ClosedInterval:
-        a = self.apply(iv.left)
-        b = self.apply(iv.right)
-        return ClosedInterval(min(a, b), max(a, b))
-
-    def apply_union(self, u: IntervalUnion) -> IntervalUnion:
-        return normalize(self.apply_interval(iv) for iv in u)
-
-
-def ifs_maps(spec: SequenceSpec) -> tuple:
-    """The four affine maps whose images tile consecutive even-depth covers.
-
-    Defined for prefix-free two-ratio multi-geometric specs. With
-    proportions (a, b) and total T, every two steps scale the cover by
-    lam = (1-a)(1-b) and translate it by one of 0, x_2, x_1, x_1 + x_2.
-    """
-    kind = spec.tail
-    if spec.prefix or not isinstance(kind, MultiGeometricTail) or len(kind.ratios) != 2:
-        raise WrongKind("IFS maps need a prefix-free two-ratio multi-geometric spec")
-    if spec.negated:
-        raise ValueError("IFS maps are defined for positive specs")
-    lam = kind.period_factor
-    x1 = kind.term(1)
-    x2 = kind.term(2)
-    return (
-        AffineMap(lam, Fraction(0)),
-        AffineMap(lam, x2),
-        AffineMap(lam, x1),
-        AffineMap(lam, x1 + x2),
-    )
-
-
-def leftmost_gap_check(spec: SequenceSpec, depth: int, cap: Optional[int] = None) -> bool:
-    """Whether term `depth` exceeds its tail, verified on the covers.
-
-    When it does and the tail is exact, every depth-(n-1) component [a, b]
-    splits: [a, a + X_n] and [b - X_n, b] are checked to be distinct
-    components of the depth-n cover. Returns False without construction
-    when the tail bounds the term; inexact tails skip the structural
-    verification (the enclosure identities do not telescope).
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if not is_nonincreasing(spec):
-        raise ValueError("the gap check needs a non-increasing spec")
-    relation = compare_term_tail(spec, depth)
-    if relation is not TermTailRelation.TERM_EXCEEDS_TAIL:
-        return False
-    tail = spec.tail_sum(depth)
-    if not tail.exact:
-        return True
-    coarse = build_cn(spec, depth - 1, cap=cap)
-    fine = build_cn(spec, depth, cap=cap)
-    fine_components = set(fine.fattened.intervals)
-    for piece in coarse.fattened:
-        low = ClosedInterval(piece.left, piece.left + tail.hi)
-        high = ClosedInterval(piece.right - tail.hi, piece.right)
-        if low == high or low not in fine_components or high not in fine_components:
-            raise AssertionError(
-                f"gap structure violated at depth {depth} for {piece}"
-            )
-    return True

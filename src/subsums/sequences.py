@@ -673,15 +673,18 @@ def positive_spec(spec) -> SequenceSpec:
     return spec if isinstance(spec, SequenceSpec) else combine_parts(merged.parts)
 
 
-def summability_class(spec) -> SummabilityClass:
-    _, _, plus, minus = sign_split(spec)
-    plus_finite = plus.hi is not None
-    minus_finite = minus.lo is not None
-    if plus_finite and minus_finite:
+def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClass:
+    """Summability class from the sums of the positive and negative parts."""
+    if plus.finite and minus.finite:
         return SummabilityClass.ABSOLUTELY_SUMMABLE
-    if plus_finite or minus_finite:
+    if plus.finite or minus.finite:
         return SummabilityClass.UNCONDITIONALLY_UNSUMMABLE
     return SummabilityClass.CONDITIONALLY_SUMMABLE
+
+
+def summability_class(spec) -> SummabilityClass:
+    _, _, plus, minus = sign_split(spec)
+    return summability_of(plus, minus)
 
 
 # --- term/tail comparisons ----------------------------------------------------

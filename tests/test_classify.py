@@ -1,4 +1,5 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -329,3 +330,70 @@ def test_pseries_component_count_within_bounds():
         result = S.build_cn(S.power_sum(2), n)
         assert result.inner.components == result.fattened.components == 2
         assert 2 <= result.fattened.components <= 4
+
+
+K = S.VerdictKind
+ABS = S.SummabilityClass.ABSOLUTELY_SUMMABLE
+UNCOND = S.SummabilityClass.UNCONDITIONALLY_UNSUMMABLE
+COND = S.SummabilityClass.CONDITIONALLY_SUMMABLE
+VERDICT_FIELDS = (
+    "kind", "summability", "certificate", "strength", "hull_lo", "hull_hi",
+    "hull_exact", "component_lower", "component_upper", "component_count",
+    "translation", "known_infinitely_many", "digit_certificate",
+)
+# One spec per classify rule, every Verdict field but profile, in
+# VERDICT_FIELDS order.
+VERDICT_TABLE = [
+    ("whole-line",
+     S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True))), None,
+     (K.WHOLE_LINE, COND, None, None, None, None, True, None, None, None, None, False, None)),
+    ("half-line-up-exact", S.PRESETS["harmonic"], None,
+     (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(0), None, True, None, None, None, None, False, None)),
+    ("half-line-down-exact",
+     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)), S.power_sum(1, negated=True))), None,
+     (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(1), True, None, None, None, None, False, None)),
+    ("half-line-down-inexact",
+     S.MergedSpec((S.power_sum(2), S.power_sum(1, negated=True))), None,
+     (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(2), False, None, None, None, None, False, None)),
+    ("half-line-up-inexact",
+     S.MergedSpec((S.power_sum(2, negated=True), S.power_sum(1))), None,
+     (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(-2), None, False, None, None, None, None, False, None)),
+    ("finite-spec", S.finite((F(1), F(1, 2))), None,
+     (K.FINITE_UNION, ABS, None, None, F(0), F(3, 2), True, 4, 4, 4, F(0), False, None)),
+    ("signed-translation",
+     S.MergedSpec((S.geometric(F(1, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4), negated=True))),
+     None,
+     (K.FINITE_UNION, ABS, None, None, F(-2, 3), F(1, 3), True, 1, 1, 1, F(-2, 3), False, None)),
+    ("pseries-bounds", S.power_sum(2), None,
+     (K.FINITE_UNION, ABS, None, None, F(0), F(2), False, 2, 4, 2, F(0), False, None)),
+    ("all-exceed", S.PRESETS["thirds"], None,
+     (K.CANTOR_SET, ABS, "AllExceed", None, F(0), F(1, 2), True, None, None, None, F(0), True, None)),
+    ("lambda-below-quarter", S.PRESETS["ratios-2-5-3-5"], None,
+     (K.CANTOR_SET, ABS, "LambdaBelowQuarter", None, F(0), F(1), True, None, None, None, F(0),
+      True, None)),
+    ("digit-proven", S.PRESETS["gn"], None,
+     (K.SYMMETRIC_CANTORVAL, ABS, "DigitCoverage", "Proven", F(0), F(5, 3), True, None, None,
+      None, F(0), True, S.CoverageCertificate(4, (3, 2), (0, 2, 3, 5), (0, 5, 2, 3)))),
+    ("digit-presumed", S.PRESETS["kenyon"], None,
+     (K.SYMMETRIC_CANTORVAL, ABS, "DigitCoverage", "PaperPresumed", F(0), F(7, 3), True, None,
+      None, None, F(0), True, S.CoverageCertificate(4, (6, 1), (0, 1, 6, 7), (0, 1, 6, 7)))),
+    ("digit-base-limit", S.PRESETS["gn"], 3,
+     (K.UNDETERMINED, ABS, None, None, F(0), F(5, 3), True, None, None, None, F(0), True, None)),
+    ("undetermined-recurring", S.multi_geometric((F(4, 11), F(6, 11)), F(1)), None,
+     (K.UNDETERMINED, ABS, None, None, F(0), F(1), True, None, None, None, F(0), True, None)),
+    ("undetermined-no-pattern",
+     S.MergedSpec((S.geometric(F(1), F(1, 2)), S.geometric(F(1), F(1, 3)))), None,
+     (K.UNDETERMINED, ABS, None, None, F(0), F(7, 2), True, None, None, None, F(0), False, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, limit, expected",
+    [row[1:] for row in VERDICT_TABLE],
+    ids=[row[0] for row in VERDICT_TABLE],
+)
+def test_verdict_fields_per_rule(spec, limit, expected):
+    verdict = S.classify(spec, digit_base_limit=limit)
+    got = {name: getattr(verdict, name) for name in VERDICT_FIELDS}
+    assert got == dict(zip(VERDICT_FIELDS, expected))
+    assert {f.name for f in fields(S.Verdict)} == set(VERDICT_FIELDS) | {"profile"}

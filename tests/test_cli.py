@@ -250,3 +250,18 @@ def test_depth_cap_exit(capsys):
     )
     assert code == 2
     assert "CapExceeded" in err
+
+
+def test_cap_below_one_exits_one(capsys, monkeypatch):
+    for command in ("cn", "oracle", "render"):
+        for depth in ("0", "3"):
+            for cap in ("0", "-5"):
+                code, _, err = run(
+                    capsys, command, "--seq", "thirds", "--depth", depth, "--cap", cap,
+                )
+                assert code == 1
+                assert "cap must be positive" in err
+    monkeypatch.setenv("SUBSUMS_ENDPOINT_CAP", "0")
+    code, _, err = run(capsys, "cn", "--seq", "thirds", "--depth", "3")
+    assert code == 1
+    assert "must be positive" in err

@@ -1,4 +1,5 @@
 """Cover construction: build_cn, word intervals, IFS maps, gap checks."""
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,20 @@ def test_cap_per_call_and_env(monkeypatch):
     assert S.default_cap() == 1 << 22
 
 
+def test_cap_below_one_is_rejected_before_any_work(monkeypatch):
+    def no_work(spec):
+        raise AssertionError("build_cn did work before checking its cap")
+
+    monkeypatch.setattr(S.construction, "positive_spec", no_work)
+    for cap in (0, -5):
+        for depth in (0, 3):
+            with pytest.raises(ValueError, match="cap must be positive"):
+                S.build_cn(S.PRESETS["thirds"], depth, cap=cap)
+    monkeypatch.setenv("SUBSUMS_ENDPOINT_CAP", "0")
+    with pytest.raises(ValueError, match="must be positive"):
+        S.build_cn(S.PRESETS["thirds"], 3)
+
+
 def test_cap_counts_components_after_each_fold_step():
     # 2^200 subset sums, one component.
     assert S.build_cn(S.PRESETS["halves"], 200, cap=1).fattened == union_of((0, 1))
@@ -148,34 +163,132 @@ def test_fold_matches_enumeration(spec, depth):
     assert S.is_subset(S.build_cn(spec, depth + 1).fattened, result.fattened)
 
 
+# --- the paper's IFS tiling and gap structure, checked on the covers ----------
+
+
+def word_interval(spec, bits):
+    """The cover interval selected by an inclusion word over the first terms.
+
+    bits[k] = 1 includes term k+1 in the start sum; the interval runs from
+    that sum to the sum plus the upper tail bound at depth len(bits).
+    """
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    start = sum(
+        (spec.term(i + 1) for i, b in enumerate(bits) if b), start=F(0)
+    )
+    tail = spec.tail_sum(len(bits))
+    if tail.hi is None:
+        raise S.DivergentTail("the sequence is not summable")
+    return S.ClosedInterval(start, start + tail.hi)
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """x -> offset + factor * x."""
+
+    factor: F
+    offset: F
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor", S.as_fraction(self.factor))
+        object.__setattr__(self, "offset", S.as_fraction(self.offset))
+
+    def apply(self, x):
+        return self.offset + self.factor * S.as_fraction(x)
+
+    def apply_interval(self, piece):
+        a = self.apply(piece.left)
+        b = self.apply(piece.right)
+        return S.ClosedInterval(min(a, b), max(a, b))
+
+    def apply_union(self, u):
+        return S.normalize(self.apply_interval(piece) for piece in u)
+
+
+def ifs_maps(spec):
+    """The four affine maps whose images tile consecutive even-depth covers.
+
+    Defined for prefix-free two-ratio multi-geometric specs. With
+    proportions (a, b) and total T, every two steps scale the cover by
+    lam = (1-a)(1-b) and translate it by one of 0, x_2, x_1, x_1 + x_2.
+    """
+    kind = spec.tail
+    if spec.prefix or not isinstance(kind, S.MultiGeometricTail) or len(kind.ratios) != 2:
+        raise S.WrongKind("IFS maps need a prefix-free two-ratio multi-geometric spec")
+    if spec.negated:
+        raise ValueError("IFS maps are defined for positive specs")
+    lam = kind.period_factor
+    x1 = kind.term(1)
+    x2 = kind.term(2)
+    return (
+        AffineMap(lam, F(0)),
+        AffineMap(lam, x2),
+        AffineMap(lam, x1),
+        AffineMap(lam, x1 + x2),
+    )
+
+
+def leftmost_gap_check(spec, depth):
+    """Whether term `depth` exceeds its tail, verified on the covers.
+
+    When it does and the tail is exact, every depth-(n-1) component [a, b]
+    splits: [a, a + X_n] and [b - X_n, b] are checked to be distinct
+    components of the depth-n cover. Returns False without construction
+    when the tail bounds the term; inexact tails skip the structural
+    verification (the enclosure identities do not telescope).
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if not S.is_nonincreasing(spec):
+        raise ValueError("the gap check needs a non-increasing spec")
+    relation = S.compare_term_tail(spec, depth)
+    if relation is not S.TermTailRelation.TERM_EXCEEDS_TAIL:
+        return False
+    tail = spec.tail_sum(depth)
+    if not tail.exact:
+        return True
+    coarse = S.build_cn(spec, depth - 1)
+    fine = S.build_cn(spec, depth)
+    fine_components = set(fine.fattened.intervals)
+    for piece in coarse.fattened:
+        low = S.ClosedInterval(piece.left, piece.left + tail.hi)
+        high = S.ClosedInterval(piece.right - tail.hi, piece.right)
+        if low == high or low not in fine_components or high not in fine_components:
+            raise AssertionError(
+                f"gap structure violated at depth {depth} for {piece}"
+            )
+    return True
+
+
 def test_word_interval_examples():
     thirds = S.PRESETS["thirds"]
-    assert S.word_interval(thirds, (1,)) == iv("1/3", "1/2")
-    assert S.word_interval(thirds, ()) == iv(0, "1/2")
-    assert S.word_interval(thirds, (0, 1)) == iv("1/9", "1/6")
+    assert word_interval(thirds, (1,)) == iv("1/3", "1/2")
+    assert word_interval(thirds, ()) == iv(0, "1/2")
+    assert word_interval(thirds, (0, 1)) == iv("1/9", "1/6")
     with pytest.raises(ValueError):
-        S.word_interval(thirds, (0, 2))
+        word_interval(thirds, (0, 2))
 
 
 def test_word_intervals_tile_the_cover():
     spec = S.PRESETS["gn"]
     words = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    tiled = S.normalize(S.word_interval(spec, w) for w in words)
+    tiled = S.normalize(word_interval(spec, w) for w in words)
     assert tiled == S.build_cn(spec, 3).fattened
 
 
 def test_ifs_maps_bigeometric():
-    maps = S.ifs_maps(S.PRESETS["ratios-2-5-3-5"])
+    maps = ifs_maps(S.PRESETS["ratios-2-5-3-5"])
     assert [m.factor for m in maps] == [F(6, 25)] * 4
     assert [m.offset for m in maps] == [F(0), F(9, 25), F(2, 5), F(19, 25)]
-    assert S.ifs_maps(S.PRESETS["gn"])[0].factor == F(1, 4)
+    assert ifs_maps(S.PRESETS["gn"])[0].factor == F(1, 4)
     with pytest.raises(S.WrongKind):
-        S.ifs_maps(S.PRESETS["thirds"])
+        ifs_maps(S.PRESETS["thirds"])
 
 
 def test_ifs_maps_tile_even_covers():
     spec = S.PRESETS["ratios-2-5-3-5"]
-    maps = S.ifs_maps(spec)
+    maps = ifs_maps(spec)
     for k in (0, 1, 2):
         base = S.build_cn(spec, 2 * k).fattened
         image = S.normalize(
@@ -187,14 +300,14 @@ def test_ifs_maps_tile_even_covers():
 def test_leftmost_gap_check():
     thirds = S.PRESETS["thirds"]
     for n in (1, 2, 5):
-        assert S.leftmost_gap_check(thirds, n)
+        assert leftmost_gap_check(thirds, n)
     for n in (1, 4):
-        assert not S.leftmost_gap_check(S.PRESETS["halves"], n)
-    assert S.leftmost_gap_check(S.PRESETS["gn"], 2)
-    assert not S.leftmost_gap_check(S.PRESETS["gn"], 3)
+        assert not leftmost_gap_check(S.PRESETS["halves"], n)
+    assert leftmost_gap_check(S.PRESETS["gn"], 2)
+    assert not leftmost_gap_check(S.PRESETS["gn"], 3)
 
 
 def test_affine_map_application():
-    m = S.AffineMap(F(1, 2), F(3))
+    m = AffineMap(F(1, 2), F(3))
     assert m.apply(F(4)) == F(5)
     assert m.apply_interval(iv(0, 2)) == iv(3, 4)
