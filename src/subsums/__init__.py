@@ -22,7 +22,6 @@ from .classify import (
 from .construction import (
     CnResult,
     build_cn,
-    default_cap,
     subset_sum_starts,
 )
 from .errors import (
@@ -49,9 +48,7 @@ from .intervals import (
     is_subset,
     normalize,
     reflect,
-    scale,
     to_text,
-    translate,
     union,
 )
 from .oracle import (

@@ -398,12 +398,18 @@ def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
-        count = build_cn(abs_spec, finite_count, cap=COUNT_CAP).fattened.components
+        try:
+            count = build_cn(abs_spec, finite_count, cap=COUNT_CAP).fattened.components
+            lower = upper = count
+        except CapExceeded:
+            # The fold of a finite spec has zero width, and its steps only
+            # add points, so the final count is past the cap.
+            count, lower, upper = None, COUNT_CAP + 1, 2**finite_count
         return replace(
             base,
             kind=VerdictKind.FINITE_UNION,
-            component_lower=count,
-            component_upper=count,
+            component_lower=lower,
+            component_upper=upper,
             component_count=count,
         )
 

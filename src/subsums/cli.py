@@ -12,7 +12,7 @@ import json
 import sys
 
 from .classify import classify
-from .construction import build_cn
+from .construction import DEFAULT_CAP, build_cn
 from .errors import SubsumError
 from .filler import fill
 from .intervals import to_text
@@ -239,8 +239,8 @@ def _add_common(parser, *, seq=False, depth=None, depth_help="cover depth", cap=
         parser.add_argument(
             "--cap",
             type=int,
-            default=None,
-            help="component cap (default from SUBSUMS_ENDPOINT_CAP or 2^22)",
+            default=DEFAULT_CAP,
+            help="component cap (default 2^22)",
         )
     parser.add_argument("--format", choices=("json", "text"), default=fmt)
     parser.add_argument("--out", default=None, help="write output to this path")

@@ -5,16 +5,18 @@ X_n the tail after n terms) is the union over all subsets of the first n
 terms of [s, s + X_n], s the subset's sum. The covers are nested and their
 intersection is the subsum set.
 
-build_cn folds the sum from the right: U = [0, X_n], then U <- U u (U + x_k)
+_fold computes such a sum from the right: U = [0, w], then U <- U u (U + x_k)
 for k = n..1, each step one linear merge of two sorted component lists. The
 work follows the component count (about 3^(n/2) for Guthrie-Nymann, 1 for
 the halves), not the 2^n subset sums. The fold runs on integer numerators
-over one common denominator and converts to Fraction once, at the end.
+over one common denominator. build_cn folds with w = X_n and converts to
+Fraction once, at the end; subset_sum_starts folds with w = 0, whose
+components are the distinct subset sums themselves. It is the module's only
+subset-sum algorithm.
 """
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,18 +28,7 @@ from .errors import CapExceeded, DivergentTail
 from .intervals import ClosedInterval, IntervalUnion
 from .sequences import SequenceSpec, TailEnclosure, positive_spec
 
-DEFAULT_ENDPOINT_CAP = 1 << 22
-CAP_ENV_VAR = "SUBSUMS_ENDPOINT_CAP"
-
-
-def default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENDPOINT_CAP
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive")
-    return value
+DEFAULT_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,7 +47,7 @@ class CnResult:
     inner: Optional[IntervalUnion]
     tail_used: TailEnclosure
     spec: SequenceSpec = field(repr=False, compare=False)
-    cap: Optional[int] = field(repr=False, compare=False)
+    cap: int = field(repr=False, compare=False)
 
     @property
     def tail_exact(self) -> bool:
@@ -66,28 +57,39 @@ class CnResult:
     def left_endpoints(self) -> tuple:
         """Sorted distinct subset sums of the first depth terms.
 
-        Enumerated by subset_sum_starts on first access (up to 2^depth
-        values, under cap as an endpoint cap); the cover does not need them.
+        Computed on first access by subset_sum_starts, the zero-width fold,
+        under the same cap; the cover does not need them.
         """
         return subset_sum_starts(self.spec, self.depth, cap=self.cap)
 
 
-def subset_sum_starts(spec: SequenceSpec, depth: int, cap: Optional[int] = None) -> tuple:
-    """Sorted distinct sums of subsets of the first `depth` terms."""
-    if spec.negated:
-        raise ValueError("covers are defined for positive specs")
-    if cap is None:
-        cap = default_cap()
-    sums = {Fraction(0)}
-    count = spec.term_count()
-    steps = depth if count is None else min(depth, count)
-    for i, x in enumerate(itertools.islice(spec.terms(), steps), start=1):
-        sums |= {s + x for s in sums}
-        if len(sums) > cap:
-            raise CapExceeded(
-                f"endpoint cap {cap} exceeded at depth {i} of {depth}"
-            )
-    return tuple(sorted(sums))
+def _positive(spec, depth: int, cap: int) -> SequenceSpec:
+    """Check depth and cap before any work, then take the positive spec."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    return positive_spec(spec)
+
+
+def _numerators(values: list) -> tuple:
+    """The lcm of the values' denominators, and their numerators over it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def subset_sum_starts(spec, depth: int, cap: int = DEFAULT_CAP) -> tuple:
+    """Sorted distinct sums of subsets of the first `depth` terms.
+
+    Takes the specs build_cn takes, divergent ones too: the zero-width fold
+    needs no tail. Raises CapExceeded when there are more than cap sums (a
+    fold step only adds sums, so no step exceeds the cap unless the last
+    one does).
+    """
+    spec = _positive(spec, depth, cap)
+    den, numerators = _numerators(list(itertools.islice(spec.terms(), depth)))
+    sums, _ = _fold(numerators, 0, cap)
+    return tuple(Fraction(s, den) for s in sums)
 
 
 def _fold_step(lo: list, hi: list, x: int) -> tuple:
@@ -122,44 +124,43 @@ def _fold_step(lo: list, hi: list, x: int) -> tuple:
     return out_lo, out_hi
 
 
-def _fold(numerators: list, width: Fraction, den: int, cap: int) -> IntervalUnion:
+def _fold(numerators: list, width: int, cap: int) -> tuple:
     """{0,x_1} + ... + {0,x_n} + [0, width], folded right to left.
 
-    numerators are those of x_1..x_n over the common denominator den.
+    numerators are those of x_1..x_n, and width is a numerator over the
+    same denominator. Returns the components' sorted lo/hi lists.
     """
-    lo, hi = [0], [width.numerator * (den // width.denominator)]
+    lo, hi = [0], [width]
     for k in range(len(numerators), 0, -1):
         lo, hi = _fold_step(lo, hi, numerators[k - 1])
         if len(lo) > cap:
             raise CapExceeded(
                 f"component cap {cap} exceeded at term {k} of {len(numerators)}"
             )
-    return IntervalUnion(tuple(
-        ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in zip(lo, hi)
-    ))
+    return lo, hi
 
 
-def build_cn(spec, depth: int, cap: Optional[int] = None) -> CnResult:
+def build_cn(spec, depth: int, cap: int = DEFAULT_CAP) -> CnResult:
     """Build the depth-n cover of the subsum set.
 
     Takes a positive summable spec, or a merge of positive specs, whose
     cover is that of their non-increasing merge. Raises ValueError for a
     cap below 1 or negated parts, DivergentTail for a divergent spec, and
-    CapExceeded when a fold step leaves more than cap components (default
-    2^22, overridable via the SUBSUMS_ENDPOINT_CAP environment variable).
+    CapExceeded when a fold step leaves more than cap components.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    limit = default_cap() if cap is None else cap
-    if limit < 1:
-        raise ValueError("cap must be positive")
-    spec = positive_spec(spec)
+    spec = _positive(spec, depth, cap)
     if spec.total().hi is None:
         raise DivergentTail("the sequence is not summable")
     terms = list(itertools.islice(spec.terms(), depth))
     tail = spec.tail_sum(depth)
-    den = lcm(*(x.denominator for x in terms), tail.lo.denominator, tail.hi.denominator)
-    numerators = [x.numerator * (den // x.denominator) for x in terms]
-    fattened = _fold(numerators, tail.hi, den, limit)
-    inner = None if tail.exact else _fold(numerators, tail.lo, den, limit)
+    den, (*numerators, low, high) = _numerators(terms + [tail.lo, tail.hi])
+
+    def cover(width: int) -> IntervalUnion:
+        lo, hi = _fold(numerators, width, cap)
+        return IntervalUnion(tuple(
+            ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in zip(lo, hi)
+        ))
+
+    fattened = cover(high)
+    inner = None if tail.exact else cover(low)
     return CnResult(depth, fattened, inner, tail, spec, cap)

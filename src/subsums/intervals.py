@@ -99,22 +99,6 @@ def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
     return normalize(tuple(a) + tuple(b))
 
 
-def translate(u: IntervalUnion, offset) -> IntervalUnion:
-    offset = as_fraction(offset)
-    return IntervalUnion(
-        tuple(ClosedInterval(iv.left + offset, iv.right + offset) for iv in u)
-    )
-
-
-def scale(u: IntervalUnion, factor) -> IntervalUnion:
-    factor = as_fraction(factor)
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return IntervalUnion(
-        tuple(ClosedInterval(iv.left * factor, iv.right * factor) for iv in u)
-    )
-
-
 def reflect(u: IntervalUnion, total) -> IntervalUnion:
     """Image of the union under x -> total - x."""
     total = as_fraction(total)

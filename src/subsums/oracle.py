@@ -1,11 +1,12 @@
 """Brute-force ground truth for the cover construction, and point probes.
 
-subset_sums and oracle_cn enumerate all 2^n subset sums of a truncation,
-so they can cross-check the component-fold builder, which never forms
-them, and the signed reduction. membership_probe is the exception: a
-third algorithm, independent of both, that follows only the residuals of
-one point through a pruned search. The depth limit keeps runs at desk
-scale.
+subset_sums and oracle_cn enumerate the subset sums of a truncation by set
+doubling, an algorithm the package uses nowhere else: the builder gets its
+covers and its subset sums from the component fold. So they can
+cross-check the builder and the signed reduction. membership_probe is the
+exception: a third algorithm, independent of both, that follows only the
+residuals of one point through a pruned search. The depth limit keeps
+runs at desk scale.
 """
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import subsums as S
-from subsums.classify import EventualKind
+from subsums.classify import COUNT_CAP, EventualKind
 
 EX = S.TermTailRelation.TERM_EXCEEDS_TAIL
 BD = S.TermTailRelation.TAIL_BOUNDS_TERM
@@ -212,6 +212,15 @@ def test_classify_finite_specs():
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert verdict.component_count == 1
     assert (verdict.hull_lo, verdict.hull_hi) == (F(0), F(0))
+
+
+def test_classify_finite_spec_past_count_cap():
+    # 2^19 distinct subset sums: the count cap is exceeded, so only bounds.
+    verdict = S.classify(S.finite([F(1, 3**k) for k in range(1, 20)]))
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.component_count is None
+    assert verdict.component_lower == COUNT_CAP + 1
+    assert verdict.component_upper == 2**19
 
 
 def test_classify_undetermined_in_open_region():

@@ -252,7 +252,7 @@ def test_depth_cap_exit(capsys):
     assert "CapExceeded" in err
 
 
-def test_cap_below_one_exits_one(capsys, monkeypatch):
+def test_cap_below_one_exits_one(capsys):
     for command in ("cn", "oracle", "render"):
         for depth in ("0", "3"):
             for cap in ("0", "-5"):
@@ -261,7 +261,14 @@ def test_cap_below_one_exits_one(capsys, monkeypatch):
                 )
                 assert code == 1
                 assert "cap must be positive" in err
-    monkeypatch.setenv("SUBSUMS_ENDPOINT_CAP", "0")
-    code, _, err = run(capsys, "cn", "--seq", "thirds", "--depth", "3")
-    assert code == 1
-    assert "must be positive" in err
+
+
+def test_classify_finite_spec_past_count_cap(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(S.dump_spec(S.finite([F(1, 3**k) for k in range(1, 20)]))))
+    code, out, _ = run(capsys, "classify", "--seq", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "FiniteUnion"
+    assert payload["component_bounds"] == [2**18 + 1, 2**19]
+    assert payload["component_count"] is None

@@ -82,30 +82,24 @@ def test_divergent_spec_rejected():
         S.build_cn(S.power_sum(1), 3)
 
 
-def test_cap_per_call_and_env(monkeypatch):
+def test_cap_per_call():
     spec = S.PRESETS["thirds"]
     with pytest.raises(S.CapExceeded):
         S.build_cn(spec, 10, cap=100)
-    monkeypatch.setenv("SUBSUMS_ENDPOINT_CAP", "100")
-    assert S.default_cap() == 100
-    with pytest.raises(S.CapExceeded):
-        S.build_cn(spec, 10)
-    monkeypatch.delenv("SUBSUMS_ENDPOINT_CAP")
-    assert S.default_cap() == 1 << 22
 
 
 def test_cap_below_one_is_rejected_before_any_work(monkeypatch):
     def no_work(spec):
-        raise AssertionError("build_cn did work before checking its cap")
+        raise AssertionError("work started before the cap was checked")
 
     monkeypatch.setattr(S.construction, "positive_spec", no_work)
-    for cap in (0, -5):
-        for depth in (0, 3):
-            with pytest.raises(ValueError, match="cap must be positive"):
-                S.build_cn(S.PRESETS["thirds"], depth, cap=cap)
-    monkeypatch.setenv("SUBSUMS_ENDPOINT_CAP", "0")
-    with pytest.raises(ValueError, match="must be positive"):
-        S.build_cn(S.PRESETS["thirds"], 3)
+    for build in (S.build_cn, S.subset_sum_starts):
+        for cap in (0, -5):
+            for depth in (0, 3):
+                with pytest.raises(ValueError, match="cap must be positive"):
+                    build(S.PRESETS["thirds"], depth, cap=cap)
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            build(S.PRESETS["thirds"], -1)
 
 
 def test_cap_counts_components_after_each_fold_step():
@@ -118,7 +112,21 @@ def test_cap_counts_components_after_each_fold_step():
 def test_left_endpoints_are_subset_sum_starts():
     for name in ("gn", "halves"):
         spec = S.PRESETS[name]
-        assert S.build_cn(spec, 3).left_endpoints == S.subset_sum_starts(spec, 3)
+        for depth in (0, 3, 8):
+            sums = S.subset_sums(spec, depth).sums
+            assert S.build_cn(spec, depth).left_endpoints == sums
+            assert S.subset_sum_starts(spec, depth) == sums
+    merged = S.MergedSpec(
+        (S.geometric(F(1, 2), F(1, 3)), S.multi_geometric((F(1, 2), F(2, 3)), F(1)))
+    )
+    reordered = S.sign_split(merged)[0]
+    for depth in (0, 3, 7):
+        sums = S.subset_sums(reordered, depth).sums
+        assert S.build_cn(merged, depth).left_endpoints == sums
+        assert S.subset_sum_starts(merged, depth) == sums
+    # No tail is formed, so divergent specs have subset sums too.
+    harmonic = S.PRESETS["harmonic"]
+    assert S.subset_sum_starts(harmonic, 6) == S.subset_sums(harmonic, 6).sums
 
 
 def test_positive_merge_cover_is_that_of_its_reordering():
@@ -149,15 +157,21 @@ _specs = st.builds(S.SequenceSpec, st.lists(_values, max_size=3).map(tuple), _ta
 
 
 @settings(max_examples=60, deadline=None)
-@given(_specs, st.integers(0, 10))
-def test_fold_matches_enumeration(spec, depth):
+@given(_specs, st.integers(0, 10), st.integers(1, 1 << 11))
+def test_fold_matches_enumeration(spec, depth, cap):
     result = S.build_cn(spec, depth)
     assert result.fattened == S.oracle_cn(spec, depth)
+    sums = S.subset_sums(spec, depth).sums
+    assert result.left_endpoints == sums
+    if len(sums) > cap:
+        with pytest.raises(S.CapExceeded):
+            S.subset_sum_starts(spec, depth, cap=cap)
+    else:
+        assert S.subset_sum_starts(spec, depth, cap=cap) == sums
     tail = spec.tail_sum(depth)
     if tail.exact:
         assert result.inner is None
     else:
-        sums = S.subset_sums(spec, depth).sums
         assert result.inner == S.normalize(S.ClosedInterval(s, s + tail.lo) for s in sums)
         assert S.is_subset(result.inner, result.fattened)
     assert S.is_subset(S.build_cn(spec, depth + 1).fattened, result.fattened)

@@ -75,19 +75,6 @@ def test_contains_uses_all_components():
     assert not u.contains(F(3, 2)) and not u.contains(F(-1)) and not u.contains(F(4))
 
 
-def test_translate_examples():
-    assert S.translate(union_of((0, 1)), F(2)) == union_of((2, 3))
-    u = union_of((0, "1/6"), ("1/3", "1/2"))
-    assert S.translate(u, F(0)) == u
-    assert S.translate(u, F(1, 3)) == union_of(("1/3", "1/2"), ("2/3", "5/6"))
-
-
-def test_scale():
-    assert S.scale(union_of((0, 1), (2, 3)), F(1, 2)) == union_of((0, "1/2"), (1, "3/2"))
-    with pytest.raises(ValueError):
-        S.scale(union_of((0, 1)), F(-1))
-
-
 def test_reflect_examples():
     u = union_of((0, "1/6"), ("1/3", "1/2"))
     assert S.reflect(u, F(1, 2)) == u
@@ -99,17 +86,6 @@ def test_reflect_examples():
 def test_reflect_is_an_involution(pairs, x0):
     u = S.normalize(iv(min(a, b), max(a, b)) for a, b in pairs)
     assert S.reflect(S.reflect(u, x0), x0) == u
-
-
-@given(
-    st.lists(st.tuples(rationals, rationals), max_size=8),
-    st.lists(st.tuples(rationals, rationals), max_size=8),
-    rationals,
-)
-def test_translate_distributes_over_union(pairs_a, pairs_b, t):
-    a = S.normalize(iv(min(x, y), max(x, y)) for x, y in pairs_a)
-    b = S.normalize(iv(min(x, y), max(x, y)) for x, y in pairs_b)
-    assert S.translate(S.union(a, b), t) == S.union(S.translate(a, t), S.translate(b, t))
 
 
 def test_is_subset():
