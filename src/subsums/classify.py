@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .construction import build_cn
+from .construction import build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .sequences import (
     GeometricTail,
@@ -45,14 +45,15 @@ from .sequences import (
     TermTailRelation,
     combine_parts,
     compare_term_tail,
+    finite,
     nonincreasing_reorder,
+    positive_spec,
     sign_split,
     summability_of,
 )
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
-DEFAULT_HORIZON = 24
 
 # Component cap of the covers classify builds to count components.
 COUNT_CAP = 1 << 18
@@ -86,14 +87,27 @@ class EventualVerdict:
 
 @dataclass(frozen=True)
 class TermTailProfile:
-    """Pointwise term/tail comparisons on the non-increasing reordering."""
+    """Term/tail pattern of the non-increasing reordering.
 
-    horizon: int
-    comparisons: tuple
+    eventual is the analytic verdict on every index, which is all classify
+    reads; comparisons(count) computes pointwise relations on demand.
+    """
+
     eventual: Optional[EventualVerdict]
     reordered: SequenceSpec
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
+
+    def comparisons(self, count: int) -> tuple:
+        """Relations of term n to tail n for n = 1..count.
+
+        Fewer when the reordering is a shorter finite spec. Raises
+        IndeterminateComparison as compare_term_tail does.
+        """
+        total = self.reordered.term_count()
+        if total is not None:
+            count = min(count, total)
+        return tuple(compare_term_tail(self.reordered, n) for n in range(1, count + 1))
 
     @property
     def gaps_recur(self) -> bool:
@@ -206,30 +220,18 @@ def _analytic_eventual(spec: SequenceSpec):
     return None, None
 
 
-def term_tail_profile(
-    spec: SequenceSpec, horizon: int = DEFAULT_HORIZON
-) -> TermTailProfile:
-    """Compare each term against its tail on the non-increasing reordering."""
-    if spec.negated:
-        raise ValueError("profiles are defined on positive specs")
-    reordered = nonincreasing_reorder(spec)
-    count = reordered.term_count()
-    scan = horizon if count is None else min(horizon, count)
-    comparisons = tuple(
-        compare_term_tail(reordered, n) for n in range(1, scan + 1)
-    )
+def term_tail_profile(spec) -> TermTailProfile:
+    """Term/tail profile of a positive spec or merge.
+
+    The input goes through positive_spec (ValueError when any part is
+    negated) and is reordered non-increasingly. Only the indices the
+    eventual verdict needs are compared here; TermTailProfile.comparisons
+    computes the pointwise relations on demand.
+    """
+    reordered = nonincreasing_reorder(positive_spec(spec))
     eventual, thresholds = _analytic_eventual(reordered)
-    exceed_through = bound_from = None
-    if thresholds is not None:
-        exceed_through, bound_from = thresholds
-    return TermTailProfile(
-        horizon=horizon,
-        comparisons=comparisons,
-        eventual=eventual,
-        reordered=reordered,
-        pseries_exceed_through=exceed_through,
-        pseries_bound_from=bound_from,
-    )
+    exceed_through, bound_from = thresholds or (None, None)
+    return TermTailProfile(eventual, reordered, exceed_through, bound_from)
 
 
 # --- digit certificates --------------------------------------------------------
@@ -304,10 +306,8 @@ def digit_coverage_test(base: int, numerators) -> Optional[CoverageCertificate]:
     numerators = tuple(int(n) for n in numerators)
     if any(n <= 0 for n in numerators):
         raise ValueError("numerators must be positive integers")
-    sums = {0}
-    for q in numerators:
-        sums |= {s + q for s in sums}
-    digits = tuple(sorted(sums))
+    sums = subset_sum_starts(finite(numerators), len(numerators))
+    digits = tuple(int(s) for s in sums)
     residues = {d % base for d in digits}
     if len(residues) < base:
         return None
@@ -474,15 +474,13 @@ def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
     )
 
 
-def one_point_components(spec: SequenceSpec, depth: int) -> tuple:
+def one_point_components(spec, depth: int) -> tuple:
     """Endpoints of the depth-n cover components, each a one-point component.
 
     Needs a gap pattern that recurs forever (term exceeds tail infinitely
     often on the reordering); then no endpoint ever gets absorbed into an
     interval, so each is a degenerate component of the subsum set.
     """
-    if spec.negated:
-        raise ValueError("one-point components are defined on positive specs")
     profile = term_tail_profile(spec)
     if not profile.gaps_recur:
         raise NotApplicable("no recurring gap pattern was established")

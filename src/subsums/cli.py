@@ -86,8 +86,7 @@ def _cmd_classify(args) -> int:
     profile_prefix = []
     if verdict.profile is not None:
         profile_prefix = [
-            rel.value
-            for rel in verdict.profile.comparisons[:PROFILE_PREFIX_LEN]
+            rel.value for rel in verdict.profile.comparisons(PROFILE_PREFIX_LEN)
         ]
     payload = {
         "kind": verdict.kind.value,

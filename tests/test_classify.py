@@ -1,4 +1,5 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
+import sys
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -6,43 +7,46 @@ import pytest
 
 import subsums as S
 from subsums.classify import COUNT_CAP, EventualKind
+from subsums.sequences import REFINEMENT_STEPS
 
 EX = S.TermTailRelation.TERM_EXCEEDS_TAIL
 BD = S.TermTailRelation.TAIL_BOUNDS_TERM
 
 
 def test_profile_geometric_all_exceed():
-    profile = S.term_tail_profile(S.PRESETS["thirds"], horizon=10)
-    assert all(rel is EX for rel in profile.comparisons)
+    profile = S.term_tail_profile(S.PRESETS["thirds"])
+    assert all(rel is EX for rel in profile.comparisons(10))
     assert profile.eventual.kind is EventualKind.ALL_EXCEED
     assert profile.eventual.proof == "geometric-ratio"
 
 
 def test_profile_geometric_all_bound():
-    profile = S.term_tail_profile(S.PRESETS["halves"], horizon=10)
-    assert all(rel is BD for rel in profile.comparisons)
+    profile = S.term_tail_profile(S.PRESETS["halves"])
+    assert all(rel is BD for rel in profile.comparisons(10))
     assert profile.eventual.kind is EventualKind.ALL_BOUND
     assert profile.eventual.exceed_count == 0
 
 
 def test_profile_prefixed_geometric_eventually_bound():
     spec = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),))
-    profile = S.term_tail_profile(spec, horizon=8)
-    assert profile.comparisons[0] is EX
-    assert all(rel is BD for rel in profile.comparisons[1:])
+    profile = S.term_tail_profile(spec)
+    comparisons = profile.comparisons(8)
+    assert comparisons[0] is EX
+    assert all(rel is BD for rel in comparisons[1:])
     assert profile.eventual.kind is EventualKind.EVENTUALLY_BOUND
     assert profile.eventual.after == 1
     assert profile.eventual.exceed_count == 1
 
 
 def test_profile_pseries_thresholds():
-    profile = S.term_tail_profile(S.power_sum(2), horizon=8)
+    profile = S.term_tail_profile(S.power_sum(2))
     assert profile.pseries_exceed_through == 1
     assert profile.pseries_bound_from == 2
     assert profile.eventual.kind is EventualKind.EVENTUALLY_BOUND
     assert profile.eventual.after == 1
-    assert profile.comparisons[0] is EX
-    assert all(rel is BD for rel in profile.comparisons[1:])
+    comparisons = profile.comparisons(8)
+    assert comparisons[0] is EX
+    assert all(rel is BD for rel in comparisons[1:])
     assert profile.eventual.proof == "pseries-monotone"
 
 
@@ -50,7 +54,7 @@ def test_pseries_threshold_brackets_direct_comparisons():
     # f_p is strictly increasing; N is the first index where it clears
     # p - 1, and direct comparisons agree around the boundary.
     for p in (2, 3, 4, 5):
-        profile = S.term_tail_profile(S.power_sum(p), horizon=12)
+        profile = S.term_tail_profile(S.power_sum(p))
         n_threshold = profile.pseries_bound_from
         k_threshold = profile.pseries_exceed_through
         assert k_threshold == p - 1
@@ -61,7 +65,7 @@ def test_pseries_threshold_brackets_direct_comparisons():
         assert f(n_threshold) >= p - 1
         if n_threshold > 1:
             assert f(n_threshold - 1) < p - 1
-        for n, rel in enumerate(profile.comparisons, start=1):
+        for n, rel in enumerate(profile.comparisons(12), start=1):
             if n <= k_threshold:
                 assert rel is EX
             if n >= n_threshold:
@@ -69,24 +73,25 @@ def test_pseries_threshold_brackets_direct_comparisons():
 
 
 def test_profile_multigeometric_period():
-    profile = S.term_tail_profile(S.PRESETS["gn"], horizon=12)
+    profile = S.term_tail_profile(S.PRESETS["gn"])
     assert profile.eventual.kind is EventualKind.EXCEEDS_INFINITELY_OFTEN
     assert profile.eventual.proof == "multigeometric-period"
-    for n, rel in enumerate(profile.comparisons, start=1):
+    for n, rel in enumerate(profile.comparisons(12), start=1):
         assert rel is (EX if n % 2 == 0 else BD)
 
 
 def test_profile_merge_window_matches_pointwise():
     reordered = S.nonincreasing_reorder(S.PRESETS["kenyon"])
-    profile = S.term_tail_profile(reordered, horizon=12)
+    profile = S.term_tail_profile(reordered)
     assert profile.eventual.kind is EventualKind.EXCEEDS_INFINITELY_OFTEN
     assert profile.eventual.proof == "multigeometric-period"
     # odd positions hold the big strand: 3/2, then 3/8 vs 11/24 bounds,
     # 1/4 vs 5/24 exceeds, repeating with period 2
-    assert profile.comparisons[0] is EX
+    comparisons = profile.comparisons(12)
+    assert comparisons[0] is EX
     for n in range(2, 13):
         expected = BD if n % 2 == 0 else EX
-        assert profile.comparisons[n - 1] is expected
+        assert comparisons[n - 1] is expected
 
 
 def test_profile_merged_all_bound():
@@ -94,14 +99,72 @@ def test_profile_merged_all_bound():
         (),
         S.MergeTail((S.geometric(F(1, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4)))),
     )
-    profile = S.term_tail_profile(spec, horizon=10)
+    profile = S.term_tail_profile(spec)
     assert profile.eventual.kind is EventualKind.ALL_BOUND
-    assert all(rel is BD for rel in profile.comparisons)
+    assert all(rel is BD for rel in profile.comparisons(10))
 
 
 def test_profile_rejects_negated():
     with pytest.raises(ValueError):
         S.term_tail_profile(S.geometric(F(1, 2), F(1, 2), negated=True))
+
+
+def test_profile_comparisons_on_demand():
+    profile = S.term_tail_profile(S.PRESETS["kenyon"])
+    expected = tuple(S.compare_term_tail(profile.reordered, n) for n in range(1, 25))
+    assert profile.comparisons(24) == expected
+    assert profile.comparisons(0) == ()
+    # A finite spec gives no more relations than it has terms.
+    short = S.term_tail_profile(S.finite((F(1, 2), F(1), F(1, 2))))
+    assert short.comparisons(10) == (BD, BD, EX)
+
+
+def test_profile_and_one_point_components_take_positive_merges():
+    parts = (S.geometric(F(1, 2), F(1, 3)), S.geometric(F(1, 5), F(1, 7)))
+    merged = S.term_tail_profile(S.MergedSpec(parts))
+    combined = S.term_tail_profile(S.combine_parts(parts))
+    assert merged == combined
+    assert merged.comparisons(6) == combined.comparisons(6)
+
+    parts = (S.geometric(F(1, 2), F(1, 4)), S.geometric(F(1, 3), F(1, 4)))
+    points = S.one_point_components(S.MergedSpec(parts), 4)
+    assert points == S.one_point_components(S.combine_parts(parts), 4)
+
+    signed = S.MergedSpec((parts[0], S.geometric(F(1, 4), F(1, 2), negated=True)))
+    with pytest.raises(ValueError):
+        S.term_tail_profile(signed)
+    with pytest.raises(ValueError):
+        S.one_point_components(signed, 2)
+
+
+def test_indeterminate_relation_outside_the_rules_leaves_undetermined():
+    # A strand head at the midpoint of the tightest enclosure of the tail
+    # after it: no refinement separates the two, but no rule reads index 2.
+    head = F(9, 16)
+    for _ in range(3):
+        parts = (S.power_sum(3), S.geometric(head, F(1, 10**6)))
+        enclosure = S.combine_parts(parts).tail_sum(2, extra=REFINEMENT_STEPS[-1])
+        head = (enclosure.lo + enclosure.hi) / 2
+    verdict = S.classify(S.MergedSpec(parts))
+    assert verdict.kind is S.VerdictKind.UNDETERMINED
+    assert verdict.profile.eventual is None
+    with pytest.raises(S.IndeterminateComparison):
+        verdict.profile.comparisons(2)
+
+
+@pytest.mark.parametrize("name", ["gn", "thirds", "halves", "ratios-2-5-3-5"])
+def test_classify_compares_no_index_pointwise(monkeypatch, name):
+    module = sys.modules["subsums.classify"]
+    calls = []
+    original = module.compare_term_tail
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "compare_term_tail", counted)
+    S.classify(S.PRESETS[name])
+    assert calls == []
 
 
 def test_classify_thirds_cantor():

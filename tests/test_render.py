@@ -1,4 +1,5 @@
 """SVG rendering and the parameter sweep."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -132,3 +133,9 @@ def test_sweep_outputs_deterministic(tmp_path):
 def test_sweep_rejects_bad_resolution():
     with pytest.raises(ValueError):
         S.sweep(resolution=0)
+
+
+def test_sweep_full_grid_bytes_pinned():
+    grid = S.sweep(21)
+    text = sweep_csv_text(grid) + sweep_svg_text(grid)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "72d30567b91f6486"
