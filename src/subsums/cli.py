@@ -13,12 +13,13 @@ import sys
 
 from .classify import classify
 from .construction import DEFAULT_CAP, build_cn
-from .errors import SubsumError
+from .errors import IndeterminateComparison, SubsumError
 from .filler import fill
 from .intervals import to_text
 from .oracle import check_depth, oracle_cn
 from .rational import format_rational, parse_rational
 from .render import bar_chart, sweep
+from .sequences import TermTailRelation
 from .specio import PRESETS, load_spec
 
 PROFILE_PREFIX_LEN = 10
@@ -85,9 +86,14 @@ def _cmd_classify(args) -> int:
         bounds = [verdict.component_lower, verdict.component_upper]
     profile_prefix = []
     if verdict.profile is not None:
-        profile_prefix = [
-            rel.value for rel in verdict.profile.comparisons(PROFILE_PREFIX_LEN)
-        ]
+        try:
+            relations = verdict.profile.comparisons(PROFILE_PREFIX_LEN)
+        except IndeterminateComparison as stuck:
+            # Report the relations up to the first one that no refinement
+            # resolves, instead of losing the verdict.
+            relations = verdict.profile.comparisons(stuck.index - 1)
+            relations += (TermTailRelation.INDETERMINATE,)
+        profile_prefix = [rel.value for rel in relations]
     payload = {
         "kind": verdict.kind.value,
         "certificate": verdict.certificate,

@@ -1,11 +1,14 @@
 """Symbolic positive null sequences with exact terms and rigorous tail sums.
 
 A sequence is an explicit finite prefix followed by a structured tail:
-geometric, power-sum (1/k^p), multi-geometric (periodic tail proportions), or
-a descending merge of such streams. Terms are exact Fractions. Tail sums are
-returned as enclosures that are either exact or rigorous rational brackets
-(power sums use the integral test and can be refined by summing more terms
-explicitly).
+finite (none), geometric, power-sum (1/k^p), multi-geometric (periodic tail
+proportions), or a descending merge of such streams. Each tail kind carries
+its own terms, drop (what is left after its first terms), order
+(nonincreasing) and tail-sum enclosure, so the spec-level functions ask the
+tail instead of branching on its kind. Terms are exact Fractions. Tail sums
+are returned as enclosures that are either exact or rigorous rational
+brackets (power sums use the integral test and can be refined by summing
+more terms explicitly).
 
 Signed sequences are merges of single-signed parts; see MergedSpec,
 sign_split and summability_class.
@@ -99,38 +102,48 @@ class TailEnclosure:
         return TailEnclosure(lo, hi)
 
 
+@dataclass(frozen=True)
 class FiniteTail:
     """No generated terms after the prefix."""
 
     divergent = False
+    nonincreasing = True
 
     def term(self, index: int) -> Fraction:
         raise IndexBeyondFinite(f"finite sequence has no term {index}")
 
+    def terms(self) -> Iterator[Fraction]:
+        return iter(())
+
     def term_count(self) -> int:
         return 0
+
+    def drop(self, count: int) -> SequenceSpec:
+        return EMPTY
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(ZERO)
 
-    def __repr__(self):
-        return "FiniteTail()"
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteTail)
+class _EndlessTail:
+    """Members shared by the tails with infinitely many terms."""
 
-    def __hash__(self):
-        return hash(FiniteTail)
+    divergent = False
+    nonincreasing = True
+
+    def terms(self) -> Iterator[Fraction]:
+        return map(self.term, itertools.count(1))
+
+    def term_count(self) -> None:
+        return None
 
 
 @dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(_EndlessTail):
     """Terms first * ratio^(i-1), i >= 1."""
 
     first: Fraction
     ratio: Fraction
-
-    divergent = False
 
     def __post_init__(self):
         first = as_fraction(self.first)
@@ -145,15 +158,15 @@ class GeometricTail:
     def term(self, index: int) -> Fraction:
         return self.first * self.ratio ** (index - 1)
 
-    def term_count(self) -> None:
-        return None
+    def drop(self, count: int) -> SequenceSpec:
+        return SequenceSpec((), GeometricTail(self.first * self.ratio**count, self.ratio))
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(self.first * self.ratio**skip / (1 - self.ratio))
 
 
 @dataclass(frozen=True)
-class PowerSumTail:
+class PowerSumTail(_EndlessTail):
     """Terms 1/k^exponent for k = start, start+1, ...
 
     exponent 1 is the harmonic case; its tail sum is the divergent
@@ -179,8 +192,8 @@ class PowerSumTail:
     def term(self, index: int) -> Fraction:
         return Fraction(1, (self.start + index - 1) ** self.exponent)
 
-    def term_count(self) -> None:
-        return None
+    def drop(self, count: int) -> SequenceSpec:
+        return SequenceSpec((), PowerSumTail(self.exponent, self.start + count))
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         if self.exponent == 1:
@@ -199,7 +212,7 @@ class PowerSumTail:
 
 
 @dataclass(frozen=True)
-class MultiGeometricTail:
+class MultiGeometricTail(_EndlessTail):
     """Tail driven by periodic proportions: x_{i+1} = r_j X_i with j = i mod m.
 
     total is the whole tail sum X_0; each step removes the proportion
@@ -208,8 +221,6 @@ class MultiGeometricTail:
 
     ratios: tuple
     total: Fraction
-
-    divergent = False
 
     def __post_init__(self):
         ratios = tuple(as_fraction(r) for r in self.ratios)
@@ -222,6 +233,14 @@ class MultiGeometricTail:
             raise ValueError("total must be positive")
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "total", total)
+
+    @property
+    def nonincreasing(self) -> bool:
+        # x_{i+1} <= x_i iff r_i <= r_{i-1} / (1 - r_{i-1}); the pattern is
+        # periodic, so the cyclic conditions cover every i.
+        rs = self.ratios
+        m = len(rs)
+        return all(rs[(j + 1) % m] <= rs[j] / (1 - rs[j]) for j in range(m))
 
     @property
     def period_factor(self) -> Fraction:
@@ -242,8 +261,10 @@ class MultiGeometricTail:
     def term(self, index: int) -> Fraction:
         return self.ratios[(index - 1) % len(self.ratios)] * self.remaining(index - 1)
 
-    def term_count(self) -> None:
-        return None
+    def drop(self, count: int) -> SequenceSpec:
+        m = len(self.ratios)
+        rotated = tuple(self.ratios[(count + j) % m] for j in range(m))
+        return SequenceSpec((), MultiGeometricTail(rotated, self.remaining(count)))
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(self.remaining(skip))
@@ -272,6 +293,8 @@ class MergeTail:
     """
 
     parts: tuple
+
+    nonincreasing = True
 
     def __post_init__(self):
         flat = []
@@ -326,6 +349,11 @@ class MergeTail:
             return None
         return sum(counts)
 
+    def drop(self, count: int) -> SequenceSpec:
+        return _wrap_merge(
+            drop_first(part, used) for part, used in zip(self.parts, self.consumed(count))
+        )
+
     def consumed(self, count: int) -> list:
         """Per-part term counts of the first `count` merged terms."""
         used = [0] * len(self.parts)
@@ -356,7 +384,8 @@ class MergeTail:
         return ratios.pop() if len(ratios) == 1 else None
 
 
-TailKind = Union[FiniteTail, GeometricTail, PowerSumTail, MultiGeometricTail, MergeTail]
+_TAIL_KINDS = (FiniteTail, GeometricTail, PowerSumTail, MultiGeometricTail, MergeTail)
+TailKind = Union[_TAIL_KINDS]
 
 
 @dataclass(frozen=True)
@@ -373,6 +402,8 @@ class SequenceSpec:
     negated: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.tail, _TAIL_KINDS):
+            raise UnsupportedKind(f"unknown tail kind {type(self.tail).__name__}")
         prefix = tuple(as_fraction(v) for v in self.prefix)
         if any(v <= 0 for v in prefix):
             raise ValueError("prefix terms must be positive before negation")
@@ -384,7 +415,7 @@ class SequenceSpec:
 
     @property
     def is_finite(self) -> bool:
-        return isinstance(self.tail, FiniteTail)
+        return self.tail.term_count() == 0
 
     def absolute(self) -> SequenceSpec:
         if not self.negated:
@@ -402,21 +433,8 @@ class SequenceSpec:
         return -value if self.negated else value
 
     def terms(self) -> Iterator[Fraction]:
-        sign = -1 if self.negated else 1
-        for value in self.prefix:
-            yield sign * value
-        count = self.tail.term_count()
-        if count == 0:
-            return
-        if isinstance(self.tail, MergeTail):
-            for value in self.tail.terms():
-                yield sign * value
-        else:
-            for i in itertools.count(1):
-                try:
-                    yield sign * self.tail.term(i)
-                except IndexBeyondFinite:
-                    return
+        values = itertools.chain(self.prefix, self.tail.terms())
+        return (-value for value in values) if self.negated else values
 
     def term_count(self) -> Optional[int]:
         tail_count = self.tail.term_count()
@@ -503,36 +521,15 @@ EMPTY = SequenceSpec((), FiniteTail())
 # --- monotonicity and reordering ---------------------------------------------
 
 
-def _first_tail_term(kind: TailKind) -> Optional[Fraction]:
-    try:
-        return kind.term(1)
-    except IndexBeyondFinite:
-        return None
-
-
-def _tail_nonincreasing(kind: TailKind) -> bool:
-    if isinstance(kind, (FiniteTail, GeometricTail, PowerSumTail)):
-        return True
-    if isinstance(kind, MultiGeometricTail):
-        # x_{i+1} <= x_i iff r_i <= r_{i-1} / (1 - r_{i-1}); the pattern is
-        # periodic, so the cyclic conditions cover every i.
-        rs = kind.ratios
-        m = len(rs)
-        return all(rs[(j + 1) % m] <= rs[j] / (1 - rs[j]) for j in range(m))
-    if isinstance(kind, MergeTail):
-        return True
-    raise UnsupportedKind(f"unknown tail kind {type(kind).__name__}")
-
-
 def is_nonincreasing(spec: SequenceSpec) -> bool:
     """Whether the term stream is non-increasing, decided analytically."""
     values = spec.prefix
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         return False
-    first = _first_tail_term(spec.tail)
+    first = next(spec.tail.terms(), None)
     if values and first is not None and values[-1] < first:
         return False
-    return _tail_nonincreasing(spec.tail)
+    return spec.tail.nonincreasing
 
 
 def drop_first(spec: SequenceSpec, count: int) -> SequenceSpec:
@@ -543,23 +540,7 @@ def drop_first(spec: SequenceSpec, count: int) -> SequenceSpec:
         return spec
     if count < len(spec.prefix):
         return SequenceSpec(spec.prefix[count:], spec.tail)
-    count -= len(spec.prefix)
-    kind = spec.tail
-    if isinstance(kind, FiniteTail):
-        return EMPTY
-    if isinstance(kind, GeometricTail):
-        return SequenceSpec((), GeometricTail(kind.first * kind.ratio**count, kind.ratio))
-    if isinstance(kind, PowerSumTail):
-        return SequenceSpec((), PowerSumTail(kind.exponent, kind.start + count))
-    if isinstance(kind, MultiGeometricTail):
-        m = len(kind.ratios)
-        rotated = tuple(kind.ratios[(count + j) % m] for j in range(m))
-        return SequenceSpec((), MultiGeometricTail(rotated, kind.remaining(count)))
-    if isinstance(kind, MergeTail):
-        return _wrap_merge(
-            drop_first(part, used) for part, used in zip(kind.parts, kind.consumed(count))
-        )
-    raise UnsupportedKind(f"unknown tail kind {type(kind).__name__}")
+    return spec.tail.drop(count - len(spec.prefix))
 
 
 def _wrap_merge(parts) -> SequenceSpec:
@@ -574,10 +555,10 @@ def _wrap_merge(parts) -> SequenceSpec:
 def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     """A spec generating the same multiset of terms in non-increasing order.
 
-    Positive specs only. Geometric and power-sum tails are already sorted;
-    multi-geometric tails become a descending merge of their geometric
-    strands; an out-of-order prefix absorbs every tail term at least as large
-    as its smallest entry.
+    Positive specs only. Geometric, power-sum and merge tails are already
+    sorted; multi-geometric tails become a descending merge of their
+    geometric strands; an out-of-order prefix absorbs every tail term at
+    least as large as its smallest entry.
     """
     if spec.negated:
         raise ValueError("reordering is defined on positive specs")
@@ -586,17 +567,10 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     sorted_prefix = SequenceSpec(tuple(sorted(spec.prefix, reverse=True)), spec.tail)
     if is_nonincreasing(sorted_prefix):
         return sorted_prefix
-    kind = spec.tail
-    if isinstance(kind, PowerSumTail):
-        raise UnsupportedKind("cannot interleave a prefix into a power-sum tail")
-    if isinstance(kind, GeometricTail):
-        body = SequenceSpec((), kind)
-    elif isinstance(kind, MultiGeometricTail):
-        body = _wrap_merge(list(kind.strands()))
-    elif isinstance(kind, MergeTail):
-        body = SequenceSpec((), kind)
+    if isinstance(spec.tail, MultiGeometricTail):
+        body = _wrap_merge(spec.tail.strands())
     else:
-        raise UnsupportedKind(f"unknown tail kind {type(kind).__name__}")
+        body = SequenceSpec((), spec.tail)
     if not spec.prefix:
         return body
     return _absorb_prefix(spec.prefix, body)
@@ -708,18 +682,13 @@ def _compare_once(term: Fraction, tail: TailEnclosure) -> TermTailRelation:
     return TermTailRelation.INDETERMINATE
 
 
-def compare_term_tail(
-    spec: SequenceSpec, index: int, refinement=REFINEMENT_STEPS
-) -> TermTailRelation:
+def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:
     """Resolve term(index) vs tail(index), refining inexact enclosures.
 
     Raises IndeterminateComparison when the refinement budget is spent.
     """
     term = spec.term(index)
-    relation = _compare_once(term, spec.tail_sum(index))
-    if relation is not TermTailRelation.INDETERMINATE:
-        return relation
-    for extra in refinement:
+    for extra in (0,) + REFINEMENT_STEPS:
         relation = _compare_once(term, spec.tail_sum(index, extra=extra))
         if relation is not TermTailRelation.INDETERMINATE:
             return relation

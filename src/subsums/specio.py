@@ -111,8 +111,9 @@ def _dump_tail(kind):
             "total": format_rational(kind.total),
         }
     if isinstance(kind, MergeTail):
-        # A merge tail round-trips as a merged spec of its parts.
-        raise ValueError("dump merge tails via a MergedSpec of their parts")
+        # No wire form keeps its order: a loaded merge interleaves its
+        # parts round-robin, not in descending order.
+        raise ValueError("a merge tail has no wire format")
     raise ValueError(f"cannot serialize tail {type(kind).__name__}")
 
 
@@ -120,20 +121,6 @@ def dump_spec(spec) -> dict:
     """Inverse of load_spec, producing plain JSON-ready data."""
     if isinstance(spec, MergedSpec):
         return {"merge": [dump_spec(part) for part in spec.parts]}
-    if isinstance(spec.tail, MergeTail):
-        parts = []
-        for part in spec.tail.parts:
-            inner = dump_spec(part)
-            if spec.negated:
-                inner["negated"] = not inner.get("negated", False)
-            parts.append(inner)
-        if spec.prefix:
-            head = {
-                "prefix": [format_rational(x) for x in spec.prefix],
-                "negated": spec.negated,
-            }
-            return {"merge": [head] + parts}
-        return {"merge": parts}
     data = {}
     if spec.prefix:
         data["prefix"] = [format_rational(x) for x in spec.prefix]

@@ -191,6 +191,16 @@ def test_classify_prefixed_halves():
     assert verdict.hull_exact
 
 
+def test_classify_prefix_below_power_sum_head():
+    spec = S.power_sum(2, prefix=(F(1, 9),))
+    verdict = S.classify(spec)
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.component_count == 2
+    profile = verdict.profile
+    cover = S.build_cn(profile.reordered, profile.eventual.after + 8)
+    assert cover.inner.components == cover.fattened.components == 2
+
+
 def test_classify_bigeometric_lambda_certificate():
     verdict = S.classify(S.PRESETS["ratios-2-5-3-5"])
     assert verdict.kind is S.VerdictKind.CANTOR_SET

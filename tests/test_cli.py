@@ -6,6 +6,7 @@ import pytest
 
 import subsums as S
 import subsums.cli as cli
+from subsums.sequences import REFINEMENT_STEPS
 
 
 def run(capsys, *argv):
@@ -57,6 +58,24 @@ def test_classify_spec_file(capsys, tmp_path):
     assert payload["kind"] == "FiniteUnion"
     assert payload["component_bounds"] == [2, 2]
     assert payload["component_count"] == 2
+
+
+def test_classify_reports_indeterminate_relation(capsys, tmp_path):
+    # The merge of test_indeterminate_relation_outside_the_rules_leaves_undetermined:
+    # the strand head sits at the midpoint of the tightest enclosure of the
+    # tail after index 2.
+    head = F(9, 16)
+    for _ in range(3):
+        parts = (S.power_sum(3), S.geometric(head, F(1, 10**6)))
+        enclosure = S.combine_parts(parts).tail_sum(2, extra=REFINEMENT_STEPS[-1])
+        head = (enclosure.lo + enclosure.hi) / 2
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps(S.dump_spec(S.MergedSpec(parts))))
+    code, out, _ = run(capsys, "classify", "--seq", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "Undetermined"
+    assert payload["profile_prefix"] == ["exceed", "indeterminate"]
 
 
 def test_cn_text_round_trip(capsys):

@@ -166,11 +166,16 @@ def test_reorder_absorbs_prefix_into_geometric_body():
     assert S.is_nonincreasing(reordered)
     assert sorted(take(spec, 6), reverse=True) == take(reordered, 6)
 
-
-def test_reorder_rejects_unsortable_pseries_mix():
+    # The power-sum tail splits at the first term below the prefix.
     spec = S.power_sum(2, prefix=(F(1, 9),))
+    reordered = S.nonincreasing_reorder(spec)
+    assert reordered == S.power_sum(2, start=4, prefix=(F(1), F(1, 4), F(1, 9), F(1, 9)))
+    assert sorted(take(spec, 6), reverse=True) == take(reordered, 6)
+
+
+def test_spec_rejects_unknown_tail_kind():
     with pytest.raises(S.UnsupportedKind):
-        S.nonincreasing_reorder(spec)
+        S.SequenceSpec((), object())
 
 
 def test_sign_split_enclosures():
@@ -255,6 +260,8 @@ def test_drop_first_per_kind():
 
     ps = S.power_sum(2)
     assert S.drop_first(ps, 3) == S.power_sum(2, start=4)
+
+    assert S.drop_first(S.finite((F(3), F(1))), 2) == S.EMPTY
 
     pre = S.geometric(F(1, 2), F(1, 2), prefix=(F(2), F(1)))
     assert S.drop_first(pre, 1) == S.geometric(F(1, 2), F(1, 2), prefix=(F(1),))

@@ -143,6 +143,12 @@ def test_dump_merge_round_trip_terms():
     assert _first(loaded, 8) == _first(merged, 8)
 
 
+def test_dump_spec_rejects_merge_tail():
+    # A loaded merge interleaves round-robin, so it would reorder the terms.
+    with pytest.raises(ValueError, match="merge tail"):
+        S.dump_spec(S.nonincreasing_reorder(S.PRESETS["kenyon"]))
+
+
 def test_dump_spec_rational_strings():
     data = S.dump_spec(S.PRESETS["gn"])
     assert data["tail"]["ratios"] == ["9/20", "6/11"]
