@@ -487,8 +487,5 @@ def one_point_components(spec, depth: int) -> tuple:
     cover = build_cn(profile.reordered, depth)
     if not cover.tail_exact:
         raise NotApplicable("cover endpoints need exact tails")
-    points = set()
-    for piece in cover.fattened:
-        points.add(piece.left)
-        points.add(piece.right)
-    return tuple(sorted(points))
+    union = cover.fattened
+    return tuple(Fraction(p, union.den) for p in sorted({*union.lo, *union.hi}))

@@ -123,16 +123,10 @@ def _cn_payload(result):
         "total_length": format_rational(result.fattened.total_length),
         "hull": [format_rational(hull.left), format_rational(hull.right)],
         "tail_exact": result.tail_exact,
-        "intervals": [
-            [format_rational(iv.left), format_rational(iv.right)]
-            for iv in result.fattened
-        ],
+        "intervals": result.fattened.formatted(),
     }
     if result.inner is not None:
-        payload["inner_intervals"] = [
-            [format_rational(iv.left), format_rational(iv.right)]
-            for iv in result.inner
-        ]
+        payload["inner_intervals"] = result.inner.formatted()
     return payload
 
 

@@ -9,10 +9,11 @@ _fold computes such a sum from the right: U = [0, w], then U <- U u (U + x_k)
 for k = n..1, each step one linear merge of two sorted component lists. The
 work follows the component count (about 3^(n/2) for Guthrie-Nymann, 1 for
 the halves), not the 2^n subset sums. The fold runs on integer numerators
-over one common denominator. build_cn folds with w = X_n and converts to
-Fraction once, at the end; subset_sum_starts folds with w = 0, whose
-components are the distinct subset sums themselves. It is the module's only
-subset-sum algorithm.
+over one common denominator. build_cn folds with w = X_n and hands the
+fold's lo/hi lists to IntervalUnion as they are, which keeps that integer
+form, so no Fraction is built per component; subset_sum_starts folds with
+w = 0, whose components are the distinct subset sums themselves. It is the
+module's only subset-sum algorithm.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import CapExceeded, DivergentTail
-from .intervals import ClosedInterval, IntervalUnion
+from .intervals import IntervalUnion
 from .sequences import SequenceSpec, TailEnclosure, positive_spec
 
 DEFAULT_CAP = 1 << 22
@@ -156,10 +157,7 @@ def build_cn(spec, depth: int, cap: int = DEFAULT_CAP) -> CnResult:
     den, (*numerators, low, high) = _numerators(terms + [tail.lo, tail.hi])
 
     def cover(width: int) -> IntervalUnion:
-        lo, hi = _fold(numerators, width, cap)
-        return IntervalUnion(tuple(
-            ClosedInterval(Fraction(a, den), Fraction(b, den)) for a, b in zip(lo, hi)
-        ))
+        return IntervalUnion.from_numerators(den, *_fold(numerators, width, cap))
 
     fattened = cover(high)
     inner = None if tail.exact else cover(low)

@@ -2,20 +2,23 @@
 
 Unions are kept normalized: intervals sorted by left endpoint, pairwise
 disjoint with strict gaps (overlapping or abutting intervals are merged).
-Degenerate one-point intervals are allowed. The text serialization is one
-interval per line, "left right", both exact rationals.
+Degenerate one-point intervals are allowed. A union is stored as integer
+numerators over one denominator, in lowest terms, so equal unions have
+equal fields; every query and the text output work on the numerators, and
+ClosedIntervals of Fractions are built only when a caller iterates the
+union. The text serialization is one interval per line, "left right",
+both exact rationals.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import EmptyUnion
-from .rational import as_fraction, format_rational
-
-ZERO = Fraction(0)
+from .rational import as_fraction, format_quotient
 
 
 @dataclass(frozen=True)
@@ -39,43 +42,100 @@ class ClosedInterval:
         return self.left <= point <= self.right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntervalUnion:
-    """Normalized union; construct via normalize() or union()."""
+    """Normalized union: components [lo[i]/den, hi[i]/den].
 
-    intervals: tuple
+    IntervalUnion(intervals) takes normalized ClosedIntervals; normalize()
+    and union() take any. from_numerators() is the constructor for callers
+    that already hold numerators (the cover fold and the oracle).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    den: int
+    lo: tuple
+    hi: tuple
+
+    def __init__(self, intervals):
+        self._set(*_numerators(intervals))
+
+    @classmethod
+    def from_numerators(cls, den: int, lo, hi) -> IntervalUnion:
+        """The union of [lo[i]/den, hi[i]/den], components already normalized."""
+        union = cls.__new__(cls)
+        union._set(den, lo, hi)
+        return union
+
+    def _set(self, den: int, lo, hi) -> None:
+        g = gcd(den, *lo, *hi)
+        if g > 1:
+            den //= g
+            lo = [v // g for v in lo]
+            hi = [v // g for v in hi]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "lo", tuple(lo))
+        object.__setattr__(self, "hi", tuple(hi))
+
+    @property
+    def intervals(self) -> tuple:
+        den = self.den
+        return tuple(
+            ClosedInterval(Fraction(a, den), Fraction(b, den))
+            for a, b in zip(self.lo, self.hi)
+        )
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __len__(self):
-        return len(self.intervals)
+        return len(self.lo)
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.lo
 
     @property
     def components(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
 
     @property
     def total_length(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), start=ZERO)
+        return Fraction(sum(self.hi) - sum(self.lo), self.den)
 
     def hull(self) -> ClosedInterval:
-        if not self.intervals:
+        if not self.lo:
             raise EmptyUnion("empty union has no hull")
-        return ClosedInterval(self.intervals[0].left, self.intervals[-1].right)
+        return ClosedInterval(Fraction(self.lo[0], self.den), Fraction(self.hi[-1], self.den))
 
     def contains(self, point) -> bool:
         point = as_fraction(point)
-        lefts = [iv.left for iv in self.intervals]
-        idx = bisect_right(lefts, point) - 1
-        return idx >= 0 and point <= self.intervals[idx].right
+        return self._covers(point.numerator, point.numerator, point.denominator)
+
+    def _covers(self, left: int, right: int, den: int) -> bool:
+        """Whether [left/den, right/den] lies inside one component.
+
+        Components are disjoint with strict gaps, so the only candidate is
+        the last one starting at or before left/den. Integer endpoints
+        compare with a rational as with its floor (lo) or ceiling (hi).
+        """
+        idx = bisect_right(self.lo, left * self.den // den) - 1
+        return idx >= 0 and -(-right * self.den // den) <= self.hi[idx]
+
+    def formatted(self) -> list:
+        """Each component's endpoints as exact rational strings."""
+        den = self.den
+        return [
+            (format_quotient(a, den), format_quotient(b, den))
+            for a, b in zip(self.lo, self.hi)
+        ]
+
+
+def _numerators(intervals: Iterable[ClosedInterval]) -> tuple:
+    """The lcm of the endpoints' denominators, and the left and right
+    endpoints' numerators over it."""
+    ends = [end for iv in intervals for end in (iv.left, iv.right)]
+    den = lcm(*(end.denominator for end in ends))
+    nums = [end.numerator * (den // end.denominator) for end in ends]
+    return den, nums[0::2], nums[1::2]
 
 
 EMPTY_UNION = IntervalUnion(())
@@ -83,16 +143,17 @@ EMPTY_UNION = IntervalUnion(())
 
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort, merge overlapping or abutting intervals, and dedupe."""
-    items = sorted(intervals, key=lambda iv: (iv.left, iv.right))
-    merged: list[ClosedInterval] = []
-    for iv in items:
-        if merged and iv.left <= merged[-1].right:
-            last = merged[-1]
-            if iv.right > last.right:
-                merged[-1] = ClosedInterval(last.left, iv.right)
+    den, lefts, rights = _numerators(intervals)
+    lo: list = []
+    hi: list = []
+    for a, b in sorted(zip(lefts, rights)):
+        if hi and a <= hi[-1]:
+            if b > hi[-1]:
+                hi[-1] = b
         else:
-            merged.append(iv)
-    return IntervalUnion(tuple(merged))
+            lo.append(a)
+            hi.append(b)
+    return IntervalUnion.from_numerators(den, lo, hi)
 
 
 def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
@@ -102,33 +163,23 @@ def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
 def reflect(u: IntervalUnion, total) -> IntervalUnion:
     """Image of the union under x -> total - x."""
     total = as_fraction(total)
-    return IntervalUnion(
-        tuple(
-            ClosedInterval(total - iv.right, total - iv.left)
-            for iv in reversed(tuple(u))
-        )
+    den = lcm(u.den, total.denominator)
+    scale = den // u.den
+    shift = total.numerator * (den // total.denominator)
+    return IntervalUnion.from_numerators(
+        den,
+        [shift - b * scale for b in reversed(u.hi)],
+        [shift - a * scale for a in reversed(u.lo)],
     )
 
 
 def is_subset(a: IntervalUnion, b: IntervalUnion) -> bool:
-    """Whether every point of a lies in b.
-
-    b's components are disjoint with strict gaps, so each component of a
-    must sit inside a single component of b.
-    """
-    lefts = [iv.left for iv in b]
-    for iv in a:
-        idx = bisect_right(lefts, iv.left) - 1
-        if idx < 0 or iv.right > b.intervals[idx].right:
-            return False
-    return True
+    """Whether every point of a lies in b: each component of a inside one of b."""
+    return all(b._covers(left, right, a.den) for left, right in zip(a.lo, a.hi))
 
 
 def to_text(u: IntervalUnion) -> str:
-    lines = [
-        f"{format_rational(iv.left)} {format_rational(iv.right)}" for iv in u
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{left} {right}\n" for left, right in u.formatted())
 
 
 def from_text(text: str) -> IntervalUnion:

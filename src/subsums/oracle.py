@@ -1,22 +1,27 @@
 """Brute-force ground truth for the cover construction, and point probes.
 
-subset_sums and oracle_cn enumerate the subset sums of a truncation by set
-doubling, an algorithm the package uses nowhere else: the builder gets its
-covers and its subset sums from the component fold. So they can
-cross-check the builder and the signed reduction. membership_probe is the
-exception: a third algorithm, independent of both, that follows only the
-residuals of one point through a pruned search. The depth limit keeps
-runs at desk scale.
+subset_sums and oracle_cn enumerate the subset sums of a truncation one
+mask at a time: the masks are visited in Gray-code order, so each sum is
+the previous one plus or minus one term, on integer numerators over the
+terms' common denominator. The package uses that enumeration nowhere else:
+build_cn gets its covers and its subset sums from the component fold.
+oracle_cn also sorts the sums and merges the intervals [s, s + X_n]
+itself, without the interval normalization. So they can cross-check
+build_cn and the signed reduction. membership_probe is the exception: a
+third algorithm, independent of both, that follows only the residuals of
+one point through a pruned search. The depth limit keeps runs at desk
+scale.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import DepthLimit, DivergentTail
-from .intervals import ClosedInterval, IntervalUnion, normalize
+from .intervals import IntervalUnion
 from .rational import as_fraction
 from .sequences import positive_spec
 
@@ -31,26 +36,47 @@ class SubsetSumTable:
     sums: tuple
 
 
-def _first_terms(spec, n: int) -> list:
-    return list(itertools.islice(spec.terms(), n))
-
-
 def check_depth(n: int) -> None:
     """Raise DepthLimit when n is past the enumeration limit."""
     if n > DEPTH_LIMIT:
         raise DepthLimit(f"oracle depth {n} exceeds the hard limit {DEPTH_LIMIT}")
 
 
-def subset_sums(spec, n: int) -> SubsetSumTable:
-    """Enumerate every subset sum of the first n terms (signed allowed)."""
+def _subset_sum_numerators(numerators: list) -> list:
+    """The sum of every subset of the numerators, one per mask.
+
+    Mask k of the reflected Gray code differs from mask k - 1 in bit b,
+    the lowest set bit of k; that bit turns on when k >> (b + 1) is even
+    and off when it is odd. So each sum takes one addition.
+    """
+    total = 0
+    sums = [total]
+    for k in range(1, 1 << len(numerators)):
+        b = (k & -k).bit_length() - 1
+        if k >> (b + 1) & 1:
+            total -= numerators[b]
+        else:
+            total += numerators[b]
+        sums.append(total)
+    return sums
+
+
+def _sorted_sums(spec, n: int, den: int = 1) -> tuple:
+    """A common denominator of den and the first n terms, and the distinct
+    subset sums of those terms as sorted numerators over it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_depth(n)
-    terms = _first_terms(spec, n)
-    sums = {Fraction(0)}
-    for x in terms:
-        sums = sums | {s + x for s in sums}
-    return SubsetSumTable(n, tuple(sorted(sums)))
+    terms = list(itertools.islice(spec.terms(), n))
+    den = lcm(den, *(t.denominator for t in terms))
+    numerators = [t.numerator * (den // t.denominator) for t in terms]
+    return den, sorted(set(_subset_sum_numerators(numerators)))
+
+
+def subset_sums(spec, n: int) -> SubsetSumTable:
+    """Enumerate every subset sum of the first n terms (signed allowed)."""
+    den, sums = _sorted_sums(spec, n)
+    return SubsetSumTable(n, tuple(Fraction(s, den) for s in sums))
 
 
 def oracle_cn(spec, n: int) -> IntervalUnion:
@@ -62,8 +88,17 @@ def oracle_cn(spec, n: int) -> IntervalUnion:
     tail = spec.tail_sum(n)
     if tail.hi is None:
         raise DivergentTail("the sequence is not summable")
-    table = subset_sums(spec, n)
-    return normalize(ClosedInterval(s, s + tail.hi) for s in table.sums)
+    den, sums = _sorted_sums(spec, n, tail.hi.denominator)
+    width = tail.hi.numerator * (den // tail.hi.denominator)
+    lo: list = []
+    hi: list = []
+    for s in sums:
+        if hi and s <= hi[-1]:
+            hi[-1] = s + width
+        else:
+            lo.append(s)
+            hi.append(s + width)
+    return IntervalUnion.from_numerators(den, lo, hi)
 
 
 @dataclass(frozen=True)

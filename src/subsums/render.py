@@ -31,12 +31,19 @@ VERDICT_FILL = {
 }
 
 
-def _px(value: Fraction) -> str:
-    """Quantize a pixel coordinate to centi-pixels, as a decimal string."""
-    q = round(Fraction(value) * 100)
+def _px(numerator: int, denominator: int = 1) -> str:
+    """Quantize the pixel coordinate numerator/denominator (denominator > 0)
+    to centi-pixels, rounding half to even, as a decimal string."""
+    q, r = divmod(100 * numerator, denominator)
+    if 2 * r > denominator or (2 * r == denominator and q % 2):
+        q += 1
     sign = "-" if q < 0 else ""
     q = abs(q)
     return f"{sign}{q // 100}.{q % 100:02d}"
+
+
+def _px_of(value: Fraction) -> str:
+    return _px(value.numerator, value.denominator)
 
 
 def bar_chart(
@@ -48,32 +55,34 @@ def bar_chart(
     """Render an interval union as a bar graph, one filled bar per component.
 
     The union's hull is mapped onto the full drawing width. Returns the
-    SVG text and writes it to out_path when given.
+    SVG text and writes it to out_path when given. Coordinates are
+    computed on the union's numerators: its denominator cancels.
     """
     if u.is_empty:
         raise EmptyUnion("cannot chart an empty union")
-    hull = u.hull()
-    span = hull.length
-    margin = Fraction(height_px, 10)
-    bar_top = margin
-    bar_height = height_px - 2 * margin
+    start = u.lo[0]
+    span = u.hi[-1] - start
+    # Bars sit between margins of a tenth of the height.
+    bar_top = _px(height_px, 10)
+    bar_height = _px(8 * height_px, 10)
+    min_num, min_den = MIN_BAR_WIDTH.numerator, MIN_BAR_WIDTH.denominator
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
         f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
         f'<rect width="{width_px}" height="{height_px}" fill="#ffffff"/>',
     ]
-    for piece in u:
+    for a, b in zip(u.lo, u.hi):
         if span == 0:
-            left = Fraction(0)
-            width = Fraction(width_px)
+            left, width, scale = 0, width_px, 1
         else:
-            left = (piece.left - hull.left) * width_px / span
-            width = piece.length * width_px / span
-        if width < MIN_BAR_WIDTH:
-            width = MIN_BAR_WIDTH
+            left, width, scale = (a - start) * width_px, (b - a) * width_px, span
+        if width * min_den < min_num * scale:
+            bar_width = _px(min_num, min_den)
+        else:
+            bar_width = _px(width, scale)
         lines.append(
-            f'<rect x="{_px(left)}" y="{_px(bar_top)}" width="{_px(width)}" '
-            f'height="{_px(bar_height)}" fill="#1a1a1a"/>'
+            f'<rect x="{_px(left, scale)}" y="{bar_top}" width="{bar_width}" '
+            f'height="{bar_height}" fill="#1a1a1a"/>'
         )
     lines.append("</svg>")
     text = "\n".join(lines) + "\n"
@@ -170,6 +179,7 @@ def sweep_svg_text(grid: SweepGrid) -> str:
     size = 1000
     denom = grid.alpha_steps + 1
     cell_px = Fraction(size, denom)
+    side = _px(size, denom)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -187,24 +197,24 @@ def sweep_svg_text(grid: SweepGrid) -> str:
         if (cell.alpha, cell.beta) == MARKED_CELL:
             marked = (x_center, y_center, cell)
             continue
-        x = x_center - cell_px / 2
-        y = y_center - cell_px / 2
+        x = _px_of(x_center - cell_px / 2)
+        y = _px_of(y_center - cell_px / 2)
         fill = VERDICT_FILL[cell.verdict.kind]
         lines.append(
-            f'<rect x="{_px(x)}" y="{_px(y)}" width="{_px(cell_px)}" '
-            f'height="{_px(cell_px)}" fill="{fill}" stroke="#dddddd" '
+            f'<rect x="{x}" y="{y}" width="{side}" '
+            f'height="{side}" fill="{fill}" stroke="#dddddd" '
             f'stroke-width="0.5"/>'
         )
         if not cell.feasible:
             lines.append(
-                f'<rect x="{_px(x)}" y="{_px(y)}" width="{_px(cell_px)}" '
-                f'height="{_px(cell_px)}" fill="url(#hatch)"/>'
+                f'<rect x="{x}" y="{y}" width="{side}" '
+                f'height="{side}" fill="url(#hatch)"/>'
             )
     if marked is not None:
         x_center, y_center, cell = marked
         fill = VERDICT_FILL[cell.verdict.kind]
         lines.append(
-            f'<circle cx="{_px(x_center)}" cy="{_px(y_center)}" r="9" '
+            f'<circle cx="{_px_of(x_center)}" cy="{_px_of(y_center)}" r="9" '
             f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
         )
     lines.append("</svg>")

@@ -1,4 +1,5 @@
 """CLI behaviour, run in-process through main()."""
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -291,3 +292,30 @@ def test_classify_finite_spec_past_count_cap(capsys, tmp_path):
     assert payload["kind"] == "FiniteUnion"
     assert payload["component_bounds"] == [2**18 + 1, 2**19]
     assert payload["component_count"] is None
+
+
+# An inexact tail, so `cn --format json` carries inner_intervals.
+PREFIXED_POWER_SUM = {"prefix": ["2"], "tail": {"kind": "pseries", "p": 3}}
+
+
+# sha256[:16] of the output as it was when every endpoint was a Fraction.
+@pytest.mark.parametrize("argv, digest", [
+    (("cn", "--seq", "gn", "--depth", "10"), "1076cef2de2f62c2"),
+    (("cn", "--seq", "thirds", "--depth", "9", "--format", "json"), "60d2ca783bd2964a"),
+    (("cn", "--seq", "prefixed-power-sum", "--depth", "6", "--format", "json"), "83c247092625ebe9"),
+    (("oracle", "--seq", "gn", "--depth", "8"), "2f2ed192a26b9b14"),
+    (("oracle", "--seq", "kenyon", "--depth", "8", "--format", "json"), "1d5cfc26c91debf0"),
+    (("render", "--seq", "gn", "--depth", "10"), "ef1d9a29856aed3c"),
+    (("render", "--seq", "halves", "--depth", "13"), "8da7fb3aa7077f58"),
+])
+def test_cover_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(PREFIXED_POWER_SUM))
+    argv = [str(spec_path) if arg == "prefixed-power-sum" else arg for arg in argv]
+    svg_path = tmp_path / "cover.svg"
+    if argv[0] == "render":
+        argv += ["--out", str(svg_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    text = svg_path.read_text() if argv[0] == "render" else out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsums as S
@@ -103,3 +103,70 @@ def test_text_round_trip():
     assert S.from_text(text) == u
     assert S.to_text(S.EMPTY_UNION) == ""
     assert S.from_text("") == S.EMPTY_UNION
+
+
+def test_numerator_form_is_kept_in_lowest_terms():
+    # [0, 1/3] u [2/3, 1] over 6 where 3 would do.
+    from_numerators = S.IntervalUnion.from_numerators(6, [0, 4], [2, 6])
+    from_intervals = S.IntervalUnion((iv(0, "1/3"), iv("2/3", 1)))
+    assert from_numerators == from_intervals
+    assert hash(from_numerators) == hash(from_intervals)
+    assert (from_numerators.den, from_numerators.lo, from_numerators.hi) == (3, (0, 2), (1, 3))
+    assert from_numerators.intervals == from_intervals.intervals
+    point = S.IntervalUnion.from_numerators(8, [0], [0])
+    assert point == union_of((0, 0)) and point.den == 1
+    assert S.IntervalUnion.from_numerators(5, [], []) == S.EMPTY_UNION
+
+
+def _reference_contains(u, point):
+    return any(piece.contains(point) for piece in u)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(rationals, rationals), max_size=10), rationals)
+def test_contains_endpoints_gap_midpoints_and_outside_points(pairs, extra):
+    u = S.normalize(iv(min(a, b), max(a, b)) for a, b in pairs)
+    pieces = u.intervals
+    points = [extra]
+    for piece in pieces:
+        points += [piece.left, piece.right, (piece.left + piece.right) / 2]
+    for left, right in zip(pieces, pieces[1:]):
+        gap = (left.right + right.left) / 2
+        assert not u.contains(gap)
+        points.append(gap)
+    if pieces:
+        hull = u.hull()
+        outside = [hull.left - F(1, 7), hull.right + F(1, 7)]
+        assert not any(u.contains(p) for p in outside)
+        points += outside
+    for p in points:
+        assert u.contains(p) == _reference_contains(u, p)
+    assert all(u.contains(piece.left) and u.contains(piece.right) for piece in pieces)
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.tuples(rationals, rationals), max_size=8),
+    st.lists(st.tuples(rationals, rationals), max_size=8),
+)
+def test_is_subset_matches_pointwise_containment(pairs_a, pairs_b):
+    a = S.normalize(iv(min(x, y), max(x, y)) for x, y in pairs_a)
+    b = S.normalize(iv(min(x, y), max(x, y)) for x, y in pairs_b)
+    expected = all(
+        any(q.left <= p.left and p.right <= q.right for q in b) for p in a
+    )
+    assert S.is_subset(a, b) == expected
+    assert S.is_subset(a, S.union(a, b))
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(rationals, rationals), max_size=10))
+def test_numerator_and_interval_forms_agree(pairs):
+    u = S.normalize(iv(min(a, b), max(a, b)) for a, b in pairs)
+    assert S.IntervalUnion(u.intervals) == u
+    assert S.IntervalUnion.from_numerators(u.den * 4, [4 * a for a in u.lo], [4 * b for b in u.hi]) == u
+    assert u.total_length == sum((piece.length for piece in u), F(0))
+    assert u.components == len(u) == len(u.intervals)
+    assert S.to_text(u) == "".join(
+        f"{S.format_rational(p.left)} {S.format_rational(p.right)}\n" for p in u
+    )

@@ -188,3 +188,93 @@ def test_probe_at_depth_limit_agrees_with_fold():
     assert excluded is not None
     assert not S.build_cn(gn, excluded).fattened.contains(midpoint)
     assert S.build_cn(gn, excluded - 1).fattened.contains(midpoint)
+
+
+def test_oracle_cn_gn_depth_16():
+    gn = S.PRESETS["gn"]
+    assert S.oracle_cn(gn, 16) == S.build_cn(gn, 16).fattened
+
+
+def test_subset_sums_visit_every_mask():
+    # Rationally independent terms: all 2^n masks give distinct sums.
+    terms = [F(1, 3), F(2, 7), F(1, 11), F(1, 13), F(1, 17)]
+    expected = {
+        sum((t for t, keep in zip(terms, mask) if keep), F(0))
+        for mask in itertools.product((False, True), repeat=len(terms))
+    }
+    sums = S.subset_sums(S.finite(terms), len(terms)).sums
+    assert len(sums) == 32 and set(sums) == expected
+
+
+_exact_tails = st.one_of(
+    st.builds(S.GeometricTail, _values, _ratios),
+    st.builds(
+        S.MultiGeometricTail, st.lists(_ratios, min_size=2, max_size=3).map(tuple), _values
+    ),
+)
+_exact_parts = st.one_of(
+    st.builds(S.SequenceSpec, st.lists(_values, max_size=2).map(tuple), _exact_tails),
+    _finite,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_merge_parts, min_size=3, max_size=3), st.integers(0, 9))
+def test_oracle_matches_fold_on_three_part_merges(parts, n):
+    spec = S.MergedSpec(tuple(parts))
+    assert S.oracle_cn(spec, n) == S.build_cn(spec, n).fattened
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exact_parts, min_size=3, max_size=3), st.permutations(range(3)), st.integers(0, 9))
+def test_oracle_matches_fold_on_nested_and_reordered_merges(parts, order, n):
+    # With exact tails the cover depends only on the multiset of terms, so
+    # neither the part order nor the nesting can change it.
+    flat = S.build_cn(S.MergedSpec(tuple(parts)), n).fattened
+    first, *rest = (parts[i] for i in order)
+    reordered = S.MergedSpec((first, *rest))
+    nested = S.MergedSpec((first, S.combine_parts(rest)))
+    assert S.oracle_cn(reordered, n) == flat
+    assert S.oracle_cn(nested, n) == flat
+    assert S.build_cn(nested, n).fattened == flat
+
+
+_power_sum_parts = st.builds(
+    S.SequenceSpec,
+    st.lists(_values, max_size=3).map(tuple),
+    st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
+)
+_power_sum_specs = st.one_of(
+    _power_sum_parts,
+    st.builds(lambda a, b: S.MergedSpec((a, b)), _power_sum_parts, _merge_parts),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_sum_specs, st.integers(0, 9))
+def test_inner_cover_is_per_mask_sums_widened_by_lower_tail_bound(spec, n):
+    positive = positive_spec(spec)
+    tail = positive.tail_sum(n)
+    assert not tail.exact
+    result = S.build_cn(spec, n)
+    sums = S.subset_sums(positive, n).sums
+    assert result.inner == S.normalize(S.ClosedInterval(s, s + tail.lo) for s in sums)
+    assert result.fattened == S.oracle_cn(spec, n)
+    assert S.is_subset(result.inner, result.fattened)
+
+
+_signed_parts = st.builds(
+    S.finite, st.lists(_values, min_size=1, max_size=4), st.booleans()
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_signed_parts, min_size=2, max_size=3))
+def test_signed_subset_sums_are_the_hornich_translation(parts):
+    # Finite parts, so the truncation holds every term in any order.
+    spec = S.MergedSpec(tuple(parts))
+    count = sum(len(part.prefix) for part in parts)
+    pos, neg, _, minus = S.sign_split(spec)
+    absolute = S.combine_parts((pos, neg.absolute()))
+    translated = {s + minus.lo for s in S.subset_sums(absolute, count).sums}
+    assert set(S.subset_sums(spec, count).sums) == translated

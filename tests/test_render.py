@@ -3,9 +3,11 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import subsums as S
-from subsums.render import MARKED_CELL, sweep_csv_text, sweep_svg_text
+from subsums.render import MARKED_CELL, _px, sweep_csv_text, sweep_svg_text
 
 
 def test_bar_chart_deterministic():
@@ -139,3 +141,33 @@ def test_sweep_full_grid_bytes_pinned():
     grid = S.sweep(21)
     text = sweep_csv_text(grid) + sweep_svg_text(grid)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "72d30567b91f6486"
+
+
+def _fraction_px(value):
+    """The quantiser on Fractions that the integer one replaced."""
+    q = round(F(value) * 100)
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    return f"{sign}{q // 100}.{q % 100:02d}"
+
+
+@given(st.integers(-10**7, 10**7), st.integers(1, 10**5))
+def test_px_matches_fraction_rounding(numerator, denominator):
+    assert _px(numerator, denominator) == _fraction_px(F(numerator, denominator))
+
+
+@given(st.integers(-10**5, 10**5), st.integers(1, 60))
+def test_px_rounds_centi_pixel_ties_half_to_even(half_steps, scale):
+    # (2k + 1)/200 pixels is exactly k + 1/2 centi-pixels.
+    numerator, denominator = (2 * half_steps + 1) * scale, 200 * scale
+    assert _px(numerator, denominator) == _fraction_px(F(numerator, denominator))
+    q = half_steps + (half_steps % 2)
+    assert _px(numerator, denominator) == _fraction_px(F(q, 100))
+
+
+def test_px_examples():
+    assert [_px(n, 200) for n in (1, 3, 5, -1, -3, -5)] == [
+        "0.00", "0.02", "0.02", "0.00", "-0.02", "-0.02",
+    ]
+    assert _px(200, 3) == "66.67" and _px(-200, 3) == "-66.67"
+    assert _px(1000) == "1000.00"
