@@ -64,7 +64,6 @@ from .render import SweepCell, SweepGrid, bar_chart, sweep
 from .sequences import (
     EMPTY,
     FiniteTail,
-    GeometricTail,
     MergedSpec,
     MergeTail,
     MultiGeometricTail,

@@ -36,7 +36,6 @@ from typing import Optional
 from .construction import build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .sequences import (
-    GeometricTail,
     MergeTail,
     MultiGeometricTail,
     PowerSumTail,
@@ -173,11 +172,6 @@ def _analytic_eventual(spec: SequenceSpec):
     """
     prefix_len = len(spec.prefix)
     kind = spec.tail
-    if isinstance(kind, GeometricTail):
-        verdict = _region_verdict(
-            spec, prefix_len, "geometric-ratio", (kind.ratio < HALF,)
-        )
-        return verdict, None
     if isinstance(kind, PowerSumTail):
         if kind.divergent:
             # An infinite tail bounds every term, but divergent specs are
@@ -198,6 +192,7 @@ def _analytic_eventual(spec: SequenceSpec):
         )
         return verdict, (guaranteed, threshold)
     if isinstance(kind, MultiGeometricTail):
+        # r > 1/2 says x_i > X_i; with one proportion, the ratio 1 - r < 1/2.
         pattern = [r > HALF for r in kind.ratios]
         verdict = _region_verdict(spec, prefix_len, "multigeometric-period", pattern)
         return verdict, None
@@ -264,17 +259,14 @@ def digit_form(spec: SequenceSpec) -> tuple:
     if spec.negated or spec.prefix:
         raise NotDigitForm("digit strands need a prefix-free positive spec")
     kind = spec.tail
-    if isinstance(kind, GeometricTail):
-        heads = (kind.first,)
-        ratio = kind.ratio
-    elif isinstance(kind, MultiGeometricTail):
-        heads = tuple(kind.term(j + 1) for j in range(len(kind.ratios)))
+    if isinstance(kind, MultiGeometricTail):
+        heads = kind.heads
         ratio = kind.period_factor
     elif isinstance(kind, MergeTail):
         ratio = kind.common_ratio()
         if ratio is None:
             raise NotDigitForm("merged strands are not geometric with one ratio")
-        heads = tuple(s.tail.first for s in kind.parts)
+        heads = tuple(s.tail.heads[0] for s in kind.parts)
     else:
         raise NotDigitForm(f"no digit reduction for {type(kind).__name__}")
     if ratio.numerator != 1 or ratio.denominator < 2:

@@ -225,6 +225,7 @@ def _cmd_presets(args) -> int:
 
 
 def _add_common(parser, *, seq=False, depth=None, depth_help="cover depth", cap=False, fmt="text"):
+    # fmt=None leaves out --format, for commands whose output has one form.
     if seq:
         parser.add_argument(
             "--seq",
@@ -241,7 +242,8 @@ def _add_common(parser, *, seq=False, depth=None, depth_help="cover depth", cap=
             default=DEFAULT_CAP,
             help="component cap (default 2^22)",
         )
-    parser.add_argument("--format", choices=("json", "text"), default=fmt)
+    if fmt is not None:
+        parser.add_argument("--format", choices=("json", "text"), default=fmt)
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -268,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fill)
 
     p = sub.add_parser("sweep", help="classify the two-ratio parameter grid")
-    _add_common(p, depth=21, depth_help="grid resolution")
+    _add_common(p, depth=21, depth_help="grid resolution", fmt=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("render", help="bar chart of a cover")
-    _add_common(p, seq=True, depth=8, cap=True)
+    _add_common(p, seq=True, depth=8, cap=True, fmt=None)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("presets", help="list presets with their first terms")

@@ -15,7 +15,10 @@ from .errors import EmptyUnion
 from .intervals import IntervalUnion
 from .sequences import is_nonincreasing, multi_geometric
 
-# Minimum rendered bar width, in pixels, so hairline components stay visible.
+# Bar chart size in pixels, and the minimum bar width, so hairline
+# components stay visible.
+CHART_WIDTH = 1000
+CHART_HEIGHT = 200
 MIN_BAR_WIDTH = Fraction(1, 2)
 
 SWEEP_DIGIT_BASE_LIMIT = 12
@@ -46,15 +49,10 @@ def _px_of(value: Fraction) -> str:
     return _px(value.numerator, value.denominator)
 
 
-def bar_chart(
-    u: IntervalUnion,
-    width_px: int = 1000,
-    height_px: int = 200,
-    out_path: Optional[str] = None,
-) -> str:
+def bar_chart(u: IntervalUnion, out_path: Optional[str] = None) -> str:
     """Render an interval union as a bar graph, one filled bar per component.
 
-    The union's hull is mapped onto the full drawing width. Returns the
+    The union's hull is mapped onto the full CHART_WIDTH. Returns the
     SVG text and writes it to out_path when given. Coordinates are
     computed on the union's numerators: its denominator cancels.
     """
@@ -63,19 +61,19 @@ def bar_chart(
     start = u.lo[0]
     span = u.hi[-1] - start
     # Bars sit between margins of a tenth of the height.
-    bar_top = _px(height_px, 10)
-    bar_height = _px(8 * height_px, 10)
+    bar_top = _px(CHART_HEIGHT, 10)
+    bar_height = _px(8 * CHART_HEIGHT, 10)
     min_num, min_den = MIN_BAR_WIDTH.numerator, MIN_BAR_WIDTH.denominator
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
-        f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
-        f'<rect width="{width_px}" height="{height_px}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CHART_WIDTH}" '
+        f'height="{CHART_HEIGHT}" viewBox="0 0 {CHART_WIDTH} {CHART_HEIGHT}">',
+        f'<rect width="{CHART_WIDTH}" height="{CHART_HEIGHT}" fill="#ffffff"/>',
     ]
     for a, b in zip(u.lo, u.hi):
         if span == 0:
-            left, width, scale = 0, width_px, 1
+            left, width, scale = 0, CHART_WIDTH, 1
         else:
-            left, width, scale = (a - start) * width_px, (b - a) * width_px, span
+            left, width, scale = (a - start) * CHART_WIDTH, (b - a) * CHART_WIDTH, span
         if width * min_den < min_num * scale:
             bar_width = _px(min_num, min_den)
         else:
@@ -118,9 +116,9 @@ class SweepGrid:
         raise KeyError(f"no cell at ({alpha}, {beta})")
 
 
-def _classify_cell(alpha: Fraction, beta: Fraction, digit_base_limit: int) -> SweepCell:
+def _classify_cell(alpha: Fraction, beta: Fraction) -> SweepCell:
     spec = multi_geometric((alpha, beta), Fraction(1))
-    verdict = classify(spec, digit_base_limit=digit_base_limit)
+    verdict = classify(spec, digit_base_limit=SWEEP_DIGIT_BASE_LIMIT)
     lam = (1 - alpha) * (1 - beta)
     return SweepCell(alpha, beta, lam, verdict, is_nonincreasing(spec))
 
@@ -129,7 +127,6 @@ def sweep(
     resolution: int = 21,
     out_csv: Optional[str] = None,
     out_svg: Optional[str] = None,
-    digit_base_limit: int = SWEEP_DIGIT_BASE_LIMIT,
 ) -> SweepGrid:
     """Classify a resolution^2 lattice of two-ratio cells, plus the marked one.
 
@@ -147,8 +144,8 @@ def sweep(
         for j in range(1, resolution + 1):
             alpha = Fraction(i, denom)
             beta = Fraction(j, denom)
-            cells.append(_classify_cell(alpha, beta, digit_base_limit))
-    cells.append(_classify_cell(*MARKED_CELL, digit_base_limit))
+            cells.append(_classify_cell(alpha, beta))
+    cells.append(_classify_cell(*MARKED_CELL))
     grid = SweepGrid(resolution, resolution, tuple(cells))
     if out_csv is not None:
         _write_csv(grid, out_csv)

@@ -1,8 +1,9 @@
 """Symbolic positive null sequences with exact terms and rigorous tail sums.
 
 A sequence is an explicit finite prefix followed by a structured tail:
-finite (none), geometric, power-sum (1/k^p), multi-geometric (periodic tail
-proportions), or a descending merge of such streams. Each tail kind carries
+finite (none), power-sum (1/k^p), multi-geometric (periodic tail
+proportions; one proportion is a geometric tail, which geometric()
+builds), or a descending merge of such streams. Each tail kind carries
 its own terms, drop (what is left after its first terms), order
 (nonincreasing) and tail-sum enclosure, so the spec-level functions ask the
 tail instead of branching on its kind. Terms are exact Fractions. Tail sums
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -139,33 +140,6 @@ class _EndlessTail:
 
 
 @dataclass(frozen=True)
-class GeometricTail(_EndlessTail):
-    """Terms first * ratio^(i-1), i >= 1."""
-
-    first: Fraction
-    ratio: Fraction
-
-    def __post_init__(self):
-        first = as_fraction(self.first)
-        ratio = as_fraction(self.ratio)
-        if first <= 0:
-            raise ValueError("geometric first term must be positive")
-        if not 0 < ratio < 1:
-            raise ValueError("geometric ratio must lie strictly between 0 and 1")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "ratio", ratio)
-
-    def term(self, index: int) -> Fraction:
-        return self.first * self.ratio ** (index - 1)
-
-    def drop(self, count: int) -> SequenceSpec:
-        return SequenceSpec((), GeometricTail(self.first * self.ratio**count, self.ratio))
-
-    def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
-        return TailEnclosure.point(self.first * self.ratio**skip / (1 - self.ratio))
-
-
-@dataclass(frozen=True)
 class PowerSumTail(_EndlessTail):
     """Terms 1/k^exponent for k = start, start+1, ...
 
@@ -217,10 +191,15 @@ class MultiGeometricTail(_EndlessTail):
 
     total is the whole tail sum X_0; each step removes the proportion
     r_(i mod m) of what remains, so all terms and tail sums are exact.
+    One proportion r is the geometric tail with ratio 1 - r. heads holds
+    the first m terms and period_factor the product of the 1 - r_j, so
+    term i + m is period_factor times term i.
     """
 
     ratios: tuple
     total: Fraction
+    heads: tuple = field(init=False, repr=False, compare=False)
+    period_factor: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ratios = tuple(as_fraction(r) for r in self.ratios)
@@ -231,8 +210,15 @@ class MultiGeometricTail(_EndlessTail):
             raise ValueError("proportions must lie strictly between 0 and 1")
         if total <= 0:
             raise ValueError("total must be positive")
+        heads = []
+        rest = total
+        for r in ratios:
+            heads.append(r * rest)
+            rest -= heads[-1]
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "total", total)
+        object.__setattr__(self, "heads", tuple(heads))
+        object.__setattr__(self, "period_factor", rest / total)
 
     @property
     def nonincreasing(self) -> bool:
@@ -242,24 +228,14 @@ class MultiGeometricTail(_EndlessTail):
         m = len(rs)
         return all(rs[(j + 1) % m] <= rs[j] / (1 - rs[j]) for j in range(m))
 
-    @property
-    def period_factor(self) -> Fraction:
-        out = Fraction(1)
-        for r in self.ratios:
-            out *= 1 - r
-        return out
-
     def remaining(self, count: int) -> Fraction:
         # Exact tail sum after the first `count` terms.
-        m = len(self.ratios)
-        whole, part = divmod(count, m)
-        out = self.total * self.period_factor**whole
-        for j in range(part):
-            out *= 1 - self.ratios[j]
-        return out
+        whole, part = divmod(count, len(self.ratios))
+        return (self.total - sum(self.heads[:part], start=ZERO)) * self.period_factor**whole
 
     def term(self, index: int) -> Fraction:
-        return self.ratios[(index - 1) % len(self.ratios)] * self.remaining(index - 1)
+        whole, part = divmod(index - 1, len(self.ratios))
+        return self.heads[part] * self.period_factor**whole
 
     def drop(self, count: int) -> SequenceSpec:
         m = len(self.ratios)
@@ -272,13 +248,10 @@ class MultiGeometricTail(_EndlessTail):
     def strands(self) -> tuple:
         """Decompose into geometric strands, one per residue class mod m.
 
-        x_{i+m} = period_factor * x_i exactly, so strand j is geometric with
-        first term x_{j+1} and ratio period_factor.
+        Strand j is geometric with first term heads[j] and ratio
+        period_factor.
         """
-        return tuple(
-            SequenceSpec((), GeometricTail(self.term(j + 1), self.period_factor))
-            for j in range(len(self.ratios))
-        )
+        return tuple(geometric(head, self.period_factor) for head in self.heads)
 
 
 @dataclass(frozen=True)
@@ -378,13 +351,16 @@ class MergeTail:
 
     def common_ratio(self) -> Optional[Fraction]:
         """The shared ratio when every part is a prefix-free geometric strand."""
-        if not all(not p.prefix and isinstance(p.tail, GeometricTail) for p in self.parts):
+        if not all(
+            not p.prefix and isinstance(p.tail, MultiGeometricTail) and len(p.tail.ratios) == 1
+            for p in self.parts
+        ):
             return None
-        ratios = {p.tail.ratio for p in self.parts}
+        ratios = {p.tail.period_factor for p in self.parts}
         return ratios.pop() if len(ratios) == 1 else None
 
 
-_TAIL_KINDS = (FiniteTail, GeometricTail, PowerSumTail, MultiGeometricTail, MergeTail)
+_TAIL_KINDS = (FiniteTail, PowerSumTail, MultiGeometricTail, MergeTail)
 TailKind = Union[_TAIL_KINDS]
 
 
@@ -457,8 +433,8 @@ class SequenceSpec:
             return self.tail.enclosure(0, extra=extra).shift(rest)
         return self.tail.enclosure(skip - len(self.prefix), extra=extra)
 
-    def total(self, extra: int = 0) -> TailEnclosure:
-        return self.tail_sum(0, extra=extra)
+    def total(self) -> TailEnclosure:
+        return self.tail_sum(0)
 
 
 @dataclass(frozen=True)
@@ -499,7 +475,15 @@ def as_merged(spec) -> MergedSpec:
 
 
 def geometric(first, ratio, prefix=(), negated=False) -> SequenceSpec:
-    return SequenceSpec(tuple(prefix), GeometricTail(as_fraction(first), as_fraction(ratio)), negated)
+    """Terms first * ratio^(i-1) after the prefix: the one-proportion
+    multi-geometric tail with proportion 1 - ratio."""
+    first = as_fraction(first)
+    ratio = as_fraction(ratio)
+    if first <= 0:
+        raise ValueError("geometric first term must be positive")
+    if not 0 < ratio < 1:
+        raise ValueError("geometric ratio must lie strictly between 0 and 1")
+    return multi_geometric((1 - ratio,), first / (1 - ratio), prefix, negated)
 
 
 def power_sum(exponent: int, start: int = 1, prefix=(), negated=False) -> SequenceSpec:
@@ -555,10 +539,10 @@ def _wrap_merge(parts) -> SequenceSpec:
 def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     """A spec generating the same multiset of terms in non-increasing order.
 
-    Positive specs only. Geometric, power-sum and merge tails are already
-    sorted; multi-geometric tails become a descending merge of their
-    geometric strands; an out-of-order prefix absorbs every tail term at
-    least as large as its smallest entry.
+    Positive specs only. Power-sum and merge tails are already sorted;
+    multi-geometric tails become a descending merge of their geometric
+    strands (a geometric tail is its own one strand); an out-of-order
+    prefix absorbs every tail term at least as large as its smallest entry.
     """
     if spec.negated:
         raise ValueError("reordering is defined on positive specs")

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .rational import as_fraction, format_rational, parse_rational
 from .sequences import (
     FiniteTail,
-    GeometricTail,
     MergedSpec,
     MergeTail,
     MultiGeometricTail,
@@ -46,7 +45,7 @@ def _load_tail(data):
         raise ValueError("tail must be an object")
     kind = data.get("kind")
     if kind == "geometric":
-        return GeometricTail(_rational(data["a"]), _rational(data["rho"]))
+        return geometric(_rational(data["a"]), _rational(data["rho"])).tail
     if kind == "pseries":
         exponent = data["p"]
         if not isinstance(exponent, int) or isinstance(exponent, bool):
@@ -96,11 +95,11 @@ def load_spec(data):
 def _dump_tail(kind):
     if isinstance(kind, FiniteTail):
         return None
-    if isinstance(kind, GeometricTail):
+    if isinstance(kind, MultiGeometricTail) and len(kind.ratios) == 1:
         return {
             "kind": "geometric",
-            "a": format_rational(kind.first),
-            "rho": format_rational(kind.ratio),
+            "a": format_rational(kind.heads[0]),
+            "rho": format_rational(kind.period_factor),
         }
     if isinstance(kind, PowerSumTail):
         return {"kind": "pseries", "p": kind.exponent, "start": kind.start}

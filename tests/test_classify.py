@@ -17,7 +17,7 @@ def test_profile_geometric_all_exceed():
     profile = S.term_tail_profile(S.PRESETS["thirds"])
     assert all(rel is EX for rel in profile.comparisons(10))
     assert profile.eventual.kind is EventualKind.ALL_EXCEED
-    assert profile.eventual.proof == "geometric-ratio"
+    assert profile.eventual.proof == "multigeometric-period"
 
 
 def test_profile_geometric_all_bound():
@@ -479,3 +479,13 @@ def test_verdict_fields_per_rule(spec, limit, expected):
     got = {name: getattr(verdict, name) for name in VERDICT_FIELDS}
     assert got == dict(zip(VERDICT_FIELDS, expected))
     assert {f.name for f in fields(S.Verdict)} == set(VERDICT_FIELDS) | {"profile"}
+
+
+def test_one_ratio_multigeometric_part_classifies_as_geometric():
+    # A one-proportion multi-geometric tail is a geometric tail, so a merge
+    # with one is the common-ratio strand merge of the gn preset.
+    twin = S.MergedSpec((S.geometric(F(3, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4))))
+    spec = S.MergedSpec((S.multi_geometric((F(3, 4),), F(1)), S.geometric(F(1, 2), F(1, 4))))
+    verdict = S.classify(spec)
+    assert verdict.kind is S.VerdictKind.SYMMETRIC_CANTORVAL
+    assert verdict == S.classify(twin)

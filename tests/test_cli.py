@@ -238,6 +238,27 @@ def test_render_writes_svg(capsys, tmp_path):
     assert out_path.read_text().startswith("<svg")
 
 
+def test_render_and_sweep_reject_format(capsys, tmp_path):
+    svg = tmp_path / "x.svg"
+    for argv in (
+        ["render", "--seq", "gn", "--depth", "3", "--format", "json", "--out", str(svg)],
+        ["sweep", "--depth", "2", "--format", "json", "--out", str(tmp_path / "grid")],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        assert "--format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_geometric_ratio_one_exits_one(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"tail": {"kind": "geometric", "a": "1/2", "rho": "1"}}))
+    code, _, err = run(capsys, "classify", "--seq", str(path))
+    assert code == 1
+    assert "geometric ratio must lie strictly between 0 and 1" in err
+
+
 def test_unknown_preset_exit(capsys):
     code, _, err = run(capsys, "classify", "--seq", "no-such-preset")
     assert code == 1
@@ -319,3 +340,101 @@ def test_cover_output_bytes_pinned(capsys, tmp_path, argv, digest):
     assert code == 0
     text = svg_path.read_text() if argv[0] == "render" else out
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+def _geo(a, rho, prefix=(), negated=False):
+    data = {"tail": {"kind": "geometric", "a": a, "rho": rho}}
+    if prefix:
+        data["prefix"] = list(prefix)
+    if negated:
+        data["negated"] = True
+    return data
+
+
+def _mg(ratios, total, prefix=()):
+    data = {"tail": {"kind": "multigeometric", "ratios": list(ratios), "total": total}}
+    if prefix:
+        data["prefix"] = list(prefix)
+    return data
+
+
+# Specs whose classification goes through geometric tails or the strand
+# merges of reordered multi-geometric tails; a string is a preset name.
+CLASSIFY_PIN_SPECS = {
+    "gn": "gn",
+    "kenyon": "kenyon",
+    "thirds": "thirds",
+    "halves": "halves",
+    "ratios-2-5-3-5": "ratios-2-5-3-5",
+    "harmonic": "harmonic",
+    "geo-rho-below-half": _geo("2/5", "2/5"),
+    "geo-rho-tenth": _geo("1/10", "1/10"),
+    "geo-rho-half-scaled": _geo("3", "1/2"),
+    "geo-rho-above-half": _geo("1", "2/3"),
+    "geo-in-order-prefix": _geo("1/2", "1/2", prefix=("2",)),
+    "geo-two-prefix-in-order": _geo("1/3", "1/3", prefix=("3", "1")),
+    "geo-prefix-below-head": _geo("2", "1/2", prefix=("1/2",)),
+    "geo-prefix-out-of-order": _geo("1/2", "1/2", prefix=("1", "3")),
+    "geo-negated": _geo("1/2", "1/2", negated=True),
+    "geo-plus-two-ratio": {"merge": [_geo("1/2", "1/3"), _mg(("1/2", "2/3"), "1")]},
+    "signed-geo-quarter": {"merge": [_geo("1/4", "1/4"), _geo("1/2", "1/4", negated=True)]},
+    "signed-geo-mixed": {"merge": [_geo("1/2", "1/3"), _geo("1/4", "1/2", negated=True)]},
+    "signed-geo-prefix": {"merge": [_mg(("9/20", "6/11"), "5/3"),
+                                    _geo("1/3", "1/3", prefix=("1",), negated=True)]},
+    "geo-common-ratio-merge": {"merge": [_geo("1/4", "1/4"), _geo("1/2", "1/4")]},
+    "geo-two-ratio-merge": {"merge": [_geo("1", "1/2"), _geo("1", "1/3")]},
+    "geo-strand-merge-gn": {"merge": [_geo("3/4", "1/4"), _geo("1/2", "1/4")]},
+    "geo-plus-pseries": {"merge": [{"tail": {"kind": "pseries", "p": 3}}, _geo("1/5", "1/7")]},
+    "mg-10-11-5-11": _mg(("10/11", "5/11"), "1"),
+    "mg-3-5-1-2-1-2": _mg(("3/5", "1/2", "1/2"), "1"),
+    "mg-2-3-1-2-1-2-1-2": _mg(("2/3", "1/2", "1/2", "1/2"), "1"),
+    "mg-4-11-6-11": _mg(("4/11", "6/11"), "1"),
+    "mg-one-ratio": _mg(("2/3",), "3/2"),
+    "mg-prefix": _mg(("9/20", "6/11"), "5/3", prefix=("1/100",)),
+}
+
+# sha256[:16] of `subsums classify --format json`, recorded while the
+# geometric tail was its own class.
+CLASSIFY_PIN_DIGESTS = {
+    "geo-common-ratio-merge": "fd76aed8fd9e5596",
+    "geo-in-order-prefix": "0ffd7beee5a48872",
+    "geo-negated": "7ff0dd400f2b80b6",
+    "geo-plus-pseries": "43a6ee40a1730899",
+    "geo-plus-two-ratio": "b77e23acd7385507",
+    "geo-prefix-below-head": "7f3fc5f07a00ed56",
+    "geo-prefix-out-of-order": "ef5a9b98b1db2bf1",
+    "geo-rho-above-half": "d8b9eb5d3059a641",
+    "geo-rho-below-half": "5e3de7fafe2f11c7",
+    "geo-rho-half-scaled": "d28e593243b2f4bb",
+    "geo-rho-tenth": "47065eb34836a61d",
+    "geo-strand-merge-gn": "672e3330d1318f97",
+    "geo-two-prefix-in-order": "1504eb90fb41fd84",
+    "geo-two-ratio-merge": "4bf58e0d60eb104f",
+    "gn": "672e3330d1318f97",
+    "halves": "fd76aed8fd9e5596",
+    "harmonic": "0984e3e00daa63f5",
+    "kenyon": "0d69d7b67a23f3bc",
+    "mg-10-11-5-11": "0d9df4aa6a4672ac",
+    "mg-2-3-1-2-1-2-1-2": "e7c33f5767d4c87a",
+    "mg-3-5-1-2-1-2": "a397c74ec9ba4409",
+    "mg-4-11-6-11": "6a492951938a9c78",
+    "mg-one-ratio": "83cd1a9e770064d7",
+    "mg-prefix": "8e69a71e6ef45e8c",
+    "ratios-2-5-3-5": "46c42db5d65c6a64",
+    "signed-geo-mixed": "458bb7d4cda46756",
+    "signed-geo-prefix": "ec0f81608d946ed4",
+    "signed-geo-quarter": "03b0c66956067ef0",
+    "thirds": "06fafa71b4a872d4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_PIN_SPECS))
+def test_classify_output_bytes_pinned(capsys, tmp_path, name):
+    spec = CLASSIFY_PIN_SPECS[name]
+    if not isinstance(spec, str):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    code, out, _ = run(capsys, "classify", "--seq", spec, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == CLASSIFY_PIN_DIGESTS[name]

@@ -147,7 +147,7 @@ def test_positive_merge_cover_is_that_of_its_reordering():
 _values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
 _ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
 _tails = st.one_of(
-    st.builds(S.GeometricTail, _values, _ratios),
+    st.builds(lambda a, r: S.geometric(a, r).tail, _values, _ratios),
     st.builds(
         S.MultiGeometricTail, st.lists(_ratios, min_size=1, max_size=3).map(tuple), _values
     ),

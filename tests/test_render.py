@@ -29,7 +29,7 @@ def test_bar_chart_is_pure_text():
 
 def test_bar_chart_min_width_visible():
     union = S.build_cn(S.PRESETS["thirds"], 14).fattened
-    svg = S.bar_chart(union, width_px=1000)
+    svg = S.bar_chart(union)
     # every bar is at least half a pixel wide even at depth 14
     widths = [
         F(part.split('width="')[1].split('"')[0])

@@ -32,6 +32,25 @@ def test_geometric_validation():
         S.geometric(F(1, 2), F(-1, 3))
 
 
+def test_geometric_validation_messages():
+    # Checked before 1 - ratio divides the first term.
+    for ratio in (F(1), F(3, 2), F(0)):
+        with pytest.raises(ValueError, match="geometric ratio must lie strictly between 0 and 1"):
+            S.geometric(F(1, 2), ratio)
+    for first in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="geometric first term must be positive"):
+            S.geometric(first, F(1))
+
+
+def test_geometric_is_the_one_proportion_multigeometric_tail():
+    spec = S.geometric(F(2, 3), F(1, 4), prefix=(F(1),))
+    assert spec == S.multi_geometric((F(3, 4),), F(8, 9), prefix=(F(1),))
+    assert spec.tail.heads == (F(2, 3),)
+    assert spec.tail.period_factor == F(1, 4)
+    assert take(spec, 4) == [F(1), F(2, 3), F(1, 6), F(1, 24)]
+    assert S.drop_first(spec, 3) == S.geometric(F(1, 24), F(1, 4))
+
+
 def test_prefix_terms_are_one_based_and_signed():
     spec = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),), negated=True)
     assert spec.term(1) == F(-2)

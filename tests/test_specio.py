@@ -134,6 +134,24 @@ def test_dump_load_round_trip():
     assert S.load_spec(S.dump_spec(prefixed)) == prefixed
 
 
+@pytest.mark.parametrize("data", [
+    {"tail": {"kind": "geometric", "a": "1/3", "rho": "1/3"}},
+    {"tail": {"kind": "geometric", "a": "5/2", "rho": "7/8"}},
+    {"prefix": ["2", "1/9"], "tail": {"kind": "geometric", "a": "1/8", "rho": "1/2"}},
+    {"prefix": ["3"], "tail": {"kind": "geometric", "a": "1", "rho": "2/3"}, "negated": True},
+])
+def test_geometric_wire_round_trip(data):
+    assert S.dump_spec(S.load_spec(data)) == data
+
+
+def test_one_ratio_multigeometric_dumps_as_geometric():
+    data = {"prefix": ["1"], "tail": {"kind": "multigeometric", "ratios": ["2/3"], "total": "3/2"}}
+    spec = S.load_spec(data)
+    dumped = S.dump_spec(spec)
+    assert dumped == {"prefix": ["1"], "tail": {"kind": "geometric", "a": "1", "rho": "1/3"}}
+    assert S.load_spec(dumped) == spec
+
+
 def test_dump_merge_round_trip_terms():
     merged = S.MergedSpec((
         S.geometric(F(1, 4), F(1, 4)),
