@@ -4,10 +4,15 @@ Exit codes: 0 success (including Undetermined verdicts), 1 usage errors,
 2 computation errors (caps, depth limits, divergence), 3 oracle
 disagreement. All numeric inputs are exact rationals; there is no
 floating-point path.
+
+main(argv) can be called in-process: it returns the exit code (argparse
+usage errors raise SystemExit(1)) and builds its parser once per process,
+so repeated calls pay only for parsing and the command itself.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,7 +252,14 @@ def _add_common(parser, *, seq=False, depth=None, depth_help="cover depth", cap=
     parser.add_argument("--out", default=None, help="write output to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser shared by every call in this process, built on the first.
+
+    Callers must not change it. Each subcommand keeps only its handler,
+    which looks up build_cn, oracle_cn and the rest on this module when it
+    runs, so a name replaced on the module still takes effect.
+    """
     parser = _Parser(prog="subsums", description="Subsum sets of null sequences")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

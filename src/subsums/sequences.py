@@ -483,7 +483,8 @@ def geometric(first, ratio, prefix=(), negated=False) -> SequenceSpec:
         raise ValueError("geometric first term must be positive")
     if not 0 < ratio < 1:
         raise ValueError("geometric ratio must lie strictly between 0 and 1")
-    return multi_geometric((1 - ratio,), first / (1 - ratio), prefix, negated)
+    kind = MultiGeometricTail((1 - ratio,), first / (1 - ratio))
+    return SequenceSpec(tuple(prefix), kind, negated)
 
 
 def power_sum(exponent: int, start: int = 1, prefix=(), negated=False) -> SequenceSpec:
@@ -491,7 +492,7 @@ def power_sum(exponent: int, start: int = 1, prefix=(), negated=False) -> Sequen
 
 
 def multi_geometric(ratios, total, prefix=(), negated=False) -> SequenceSpec:
-    kind = MultiGeometricTail(tuple(as_fraction(r) for r in ratios), as_fraction(total))
+    kind = MultiGeometricTail(tuple(ratios), total)
     return SequenceSpec(tuple(prefix), kind, negated)
 
 

@@ -1,7 +1,11 @@
-"""CLI behaviour, run in-process through main()."""
+"""CLI behaviour, run in-process through main() and in a fresh process."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +14,22 @@ import subsums.cli as cli
 from subsums.sequences import REFINEMENT_STEPS
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """`python -m subsums.cli argv` in a new interpreter, with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "subsums.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
 
 
 def test_classify_json_payload(capsys):
@@ -438,3 +454,62 @@ def test_classify_output_bytes_pinned(capsys, tmp_path, name):
     code, out, _ = run(capsys, "classify", "--seq", spec, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == CLASSIFY_PIN_DIGESTS[name]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run(capsys, "presets")[0] == 0
+    first = len(built)
+    for argv in (
+        ("classify", "--seq", "gn"),
+        ("cn", "--seq", "thirds", "--depth", "3"),
+        ("oracle", "--seq", "halves", "--depth", "3"),
+        ("fill", "--seq", "harmonic", "--target", "1/2"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_calls_leave_no_state_behind(capsys, tmp_path):
+    depth_8 = S.to_text(S.build_cn(S.PRESETS["gn"], 8).fattened)
+    code, out, _ = run(capsys, "cn", "--seq", "gn", "--depth", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["depth"] == 5
+    assert run(capsys, "cn", "--seq", "gn") == (0, depth_8, "")
+    svg = tmp_path / "bars.svg"
+    assert run(capsys, "render", "--seq", "gn", "--depth", "3", "--out", str(svg))[0] == 0
+    svg.unlink()
+    assert run(capsys, "cn", "--seq", "gn") == (0, depth_8, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_does_not_change_the_next_call(capsys):
+    alone = run(capsys, "classify", "--seq", "kenyon", "--format", "text")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["classify", "--seq", "gn", "--format", "yaml"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, "classify", "--seq", "no-such-preset")[0] == 1
+    assert run(capsys, "classify", "--seq", "kenyon", "--format", "text") == alone
+
+
+def test_fresh_process_matches_in_process(capsys):
+    code, out, _ = run(capsys, "classify", "--seq", "gn")
+    fresh = run_fresh("classify", "--seq", "gn")
+    assert (fresh.returncode, fresh.stdout) == (code, out.encode("utf-8"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("cn", "--seq", "thirds", "--bogus"), 1),
+    (("cn", "--seq", "harmonic"), 2),
+])
+def test_fresh_process_exit_codes(argv, code):
+    assert run_fresh(*argv).returncode == code

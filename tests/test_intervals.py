@@ -105,6 +105,17 @@ def test_text_round_trip():
     assert S.from_text("") == S.EMPTY_UNION
 
 
+@settings(max_examples=50)
+@given(st.lists(st.tuples(rationals, rationals), max_size=10), rationals, st.integers(-5, 5))
+def test_formatted_matches_format_rational(pairs, total, whole):
+    u = S.normalize(iv(min(a, b), max(a, b)) for a, b in pairs)
+    for v in (u, S.reflect(u, total), S.union(u, union_of((whole, whole + 1))), S.EMPTY_UNION):
+        assert v.formatted() == [
+            (S.format_rational(F(a, v.den)), S.format_rational(F(b, v.den)))
+            for a, b in zip(v.lo, v.hi)
+        ]
+
+
 def test_numerator_form_is_kept_in_lowest_terms():
     # [0, 1/3] u [2/3, 1] over 6 where 3 would do.
     from_numerators = S.IntervalUnion.from_numerators(6, [0, 4], [2, 6])

@@ -309,6 +309,15 @@ _merge_parts = st.one_of(
 )
 
 
+@given(_values, _ratios)
+def test_geometric_tail_equals_the_constructed_one(first, ratio):
+    tail = S.geometric(first, ratio).tail
+    built = S.MultiGeometricTail((1 - ratio,), first / (1 - ratio))
+    assert tail == built and hash(tail) == hash(built)
+    # The head is the first term and each period scales by the ratio.
+    assert (tail.heads, tail.period_factor) == ((first,), ratio)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_merge_parts, min_size=2, max_size=4), st.integers(0, 30))
 def test_merge_walk_matches_heapq_reference(parts, skip):
