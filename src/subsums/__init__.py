@@ -82,6 +82,7 @@ from .sequences import (
     multi_geometric,
     nonincreasing_reorder,
     power_sum,
+    self_similar,
     sign_split,
     summability_class,
 )

@@ -20,6 +20,10 @@ that fires gives the verdict:
    system are injective mod 1, as digit_coverage_test proves).
 
 Rules 3-6 read the term/tail profile of the non-increasing reordering.
+Strand merges are read through self_similar: the same terms as a prefix
+followed by a multi-geometric tail. The eventual verdict takes its
+periodic pattern from the proportions and compares the head terms with
+closed-form tail sums.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -47,6 +51,7 @@ from .sequences import (
     finite,
     nonincreasing_reorder,
     positive_spec,
+    self_similar,
     sign_split,
     summability_of,
 )
@@ -191,28 +196,13 @@ def _analytic_eventual(spec: SequenceSpec):
             spec, prefix_len, "pseries-monotone", (False,), middle
         )
         return verdict, (guaranteed, threshold)
-    if isinstance(kind, MultiGeometricTail):
-        # r > 1/2 says x_i > X_i; with one proportion, the ratio 1 - r < 1/2.
-        pattern = [r > HALF for r in kind.ratios]
-        verdict = _region_verdict(spec, prefix_len, "multigeometric-period", pattern)
-        return verdict, None
-    if isinstance(kind, MergeTail):
-        if kind.common_ratio() is None:
-            return None, None
-        # Scaling the merged multiset by the common ratio reproduces it
-        # minus the strand heads, so comparisons repeat with period m once
-        # every strand has emitted its first term.
-        m = len(kind.parts)
-        stable_from = max(1, max(kind.merged_positions()) - m + 1)
-        window = [
-            compare_term_tail(spec, prefix_len + stable_from + j)
-            is TermTailRelation.TERM_EXCEEDS_TAIL
-            for j in range(m)
-        ]
-        head_count = prefix_len + stable_from - 1
-        verdict = _region_verdict(spec, head_count, "multigeometric-period", window)
-        return verdict, None
-    return None, None
+    view = self_similar(spec)
+    if view is None:
+        return None, None
+    # r > 1/2 says x_i > X_i; with one proportion, the ratio 1 - r < 1/2.
+    pattern = [r > HALF for r in view.tail.ratios]
+    verdict = _region_verdict(view, len(view.prefix), "multigeometric-period", pattern)
+    return verdict, None
 
 
 def term_tail_profile(spec) -> TermTailProfile:

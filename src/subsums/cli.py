@@ -18,7 +18,7 @@ import sys
 
 from .classify import classify
 from .construction import DEFAULT_CAP, build_cn
-from .errors import IndeterminateComparison, SubsumError
+from .errors import IndeterminateComparison, SubsumError, UnsupportedExponent
 from .filler import fill
 from .intervals import to_text
 from .oracle import check_depth, oracle_cn
@@ -53,7 +53,7 @@ def _load_seq(value):
         raise _UsageError(f"spec {value!r} is not valid JSON: {exc}") from exc
     try:
         return load_spec(data)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, UnsupportedExponent) as exc:
         raise _UsageError(f"bad spec {value!r}: {exc}") from exc
 
 

@@ -261,8 +261,7 @@ class MergeTail:
     Used for the non-increasing reordering of multi-geometric tails (one
     geometric strand per residue class) and for combining same-signed parts
     of a merged spec. Nested merges are flattened. walk() is the one heap
-    merge; terms, positions, consumed counts and tail enclosures all read
-    it.
+    merge; terms, consumed counts and tail enclosures all read it.
     """
 
     parts: tuple
@@ -339,15 +338,6 @@ class MergeTail:
         for part, used in zip(self.parts, self.consumed(skip)):
             total = total + part.tail_sum(used, extra=extra)
         return total
-
-    def merged_positions(self) -> tuple:
-        """Position at which each part emits its first term."""
-        first_pos = {}
-        for pos, (_, idx) in enumerate(self.walk(), start=1):
-            first_pos.setdefault(idx, pos)
-            if len(first_pos) == len(self.parts):
-                break
-        return tuple(first_pos.get(i) for i in range(len(self.parts)))
 
     def common_ratio(self) -> Optional[Fraction]:
         """The shared ratio when every part is a prefix-free geometric strand."""
@@ -577,6 +567,46 @@ def _absorb_prefix(prefix, body: SequenceSpec) -> SequenceSpec:
         new_prefix = new_prefix + rest.prefix
         rest = SequenceSpec((), rest.tail)
     return SequenceSpec(new_prefix, rest.tail)
+
+
+def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
+    """The same terms, in the same order, as a prefix and a multi-geometric tail.
+
+    A multi-geometric tail is its own view. A merge of m geometric strands
+    with one common ratio q is walked until every strand has given its
+    first term, at merged position k; the view's prefix is the spec's
+    prefix plus the first k - m merged terms, and its proportions come
+    from the next m terms. Returns None for any other tail.
+
+    Why the view is exact: let x_1 >= x_2 >= ... be the merged terms.
+    Scaling a strand by q drops its head, so q x_1 >= q x_2 >= ... is the
+    same list with the m strand heads removed. The heads all lie among
+    x_1 .. x_k, so removing them moves every later term m places forward:
+    x_(i+m) = q x_i for every i >= k - m + 1. Past its first k - m terms
+    the merge therefore repeats with period m and factor q, which is the
+    multi-geometric tail with the proportions of x_(k-m+1) .. x_k.
+    """
+    kind = spec.tail
+    if isinstance(kind, MultiGeometricTail):
+        return spec
+    if not isinstance(kind, MergeTail) or kind.common_ratio() is None:
+        return None
+    m = len(kind.parts)
+    walked = []
+    started = set()
+    for value, idx in kind.walk():
+        walked.append(value)
+        started.add(idx)
+        if len(started) == m:
+            break
+    head, window = walked[:-m], walked[-m:]
+    total = sum((part.tail.total for part in kind.parts), start=ZERO) - sum(head, start=ZERO)
+    ratios = []
+    rest = total
+    for value in window:
+        ratios.append(value / rest)
+        rest -= value
+    return multi_geometric(ratios, total, spec.prefix + tuple(head), spec.negated)
 
 
 # --- summability and sign handling -------------------------------------------

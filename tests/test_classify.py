@@ -167,6 +167,36 @@ def test_classify_compares_no_index_pointwise(monkeypatch, name):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [S.PRESETS["kenyon"], S.multi_geometric((F(3, 22), F(17, 22)), 1)],
+    ids=["kenyon", "cell-3-22-17-22"],
+)
+def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
+    # The eventual analysis reads the merge through its self-similar view:
+    # one walk to find the view, no pointwise comparison on the heap.
+    module = sys.modules["subsums.classify"]
+    walks = []
+    compared = []
+    walk = S.MergeTail.walk
+    compare = module.compare_term_tail
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    def counted_compare(spec, index):
+        compared.append(spec)
+        return compare(spec, index)
+
+    monkeypatch.setattr(S.MergeTail, "walk", counted_walk)
+    monkeypatch.setattr(module, "compare_term_tail", counted_compare)
+    verdict = S.classify(spec)
+    assert isinstance(verdict.profile.reordered.tail, S.MergeTail)
+    assert len(walks) == 1
+    assert not any(isinstance(s.tail, S.MergeTail) for s in compared)
+
+
 def test_classify_thirds_cantor():
     verdict = S.classify(S.PRESETS["thirds"])
     assert verdict.kind is S.VerdictKind.CANTOR_SET

@@ -275,6 +275,15 @@ def test_geometric_ratio_one_exits_one(capsys, tmp_path):
     assert "geometric ratio must lie strictly between 0 and 1" in err
 
 
+@pytest.mark.parametrize("exponent", [0, -1])
+def test_pseries_exponent_below_one_exits_one(capsys, tmp_path, exponent):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"tail": {"kind": "pseries", "p": exponent}}))
+    code, out, err = run(capsys, "classify", "--seq", str(path))
+    assert (code, out) == (1, "")
+    assert "bad spec" in err and "exponent must be at least 1" in err
+
+
 def test_unknown_preset_exit(capsys):
     code, _, err = run(capsys, "classify", "--seq", "no-such-preset")
     assert code == 1

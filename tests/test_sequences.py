@@ -133,8 +133,12 @@ def test_merge_tail_orders_terms_descending():
     assert take(merged, 7) == [
         F(3, 2), F(3, 8), F(1, 4), F(3, 32), F(1, 16), F(3, 128), F(1, 64),
     ]
-    assert merged.tail.merged_positions() == (1, 3)
     assert merged.total().value == F(7, 3)
+    # Kenyon's reordering is 3/2 followed by half of the Guthrie-Nymann tail.
+    assert merged == S.nonincreasing_reorder(S.PRESETS["kenyon"])
+    assert S.self_similar(merged) == S.multi_geometric(
+        (F(9, 20), F(6, 11)), F(5, 6), prefix=(F(3, 2),)
+    )
 
 
 def test_merge_tail_rejects_empty_parts():
@@ -333,14 +337,6 @@ def test_merge_walk_matches_heapq_reference(parts, skip):
             assert kind.term(i) == reference[i - 1]
     assert take(S.drop_first(merged, skip), 50) == reference[skip:]
 
-    walk = list(itertools.islice(kind.walk(), window))
-    firsts = tuple(
-        next((pos for pos, (_, idx) in enumerate(walk, start=1) if idx == j), None)
-        for j in range(len(kind.parts))
-    )
-    if None not in firsts:
-        assert kind.merged_positions() == firsts
-
     if not any(isinstance(p.tail, S.PowerSumTail) for p in kind.parts):
         total = sum((p.total().value for p in kind.parts), start=F(0))
         assert merged.tail_sum(skip).value == total - sum(reference[:skip], start=F(0))
@@ -350,3 +346,51 @@ def test_merge_walk_matches_heapq_reference(parts, skip):
             assert wide.lo <= narrow.lo <= narrow.hi <= wide.hi
         assert brackets[-1].hi >= sum(reference[skip:], start=F(0))
         assert brackets[-1].width < brackets[0].width
+
+
+def assert_view_matches(spec):
+    """The view's first prefix + 3m terms and their tail sums are the spec's."""
+    view = S.self_similar(spec)
+    count = len(view.prefix) + 3 * len(view.tail.ratios)
+    assert take(view, count) == take(spec, count)
+    for n in range(count + 1):
+        assert view.tail_sum(n) == spec.tail_sum(n)
+        assert view.tail_sum(n).exact
+
+
+def test_self_similar_matches_every_grid_reordering():
+    denom = 22
+    merges = 0
+    for i in range(1, denom):
+        for j in range(1, denom):
+            spec = S.multi_geometric((F(i, denom), F(j, denom)), F(1))
+            assert S.self_similar(spec) is spec
+            reordered = S.nonincreasing_reorder(spec)
+            if isinstance(reordered.tail, S.MergeTail):
+                merges += 1
+                assert_view_matches(reordered)
+    assert merges == 262
+
+
+@settings(deadline=None)
+@given(
+    _ratios,
+    st.lists(_values, min_size=1, max_size=5),
+    st.lists(_values, max_size=3),
+)
+def test_self_similar_matches_common_ratio_merges(ratio, heads, prefix):
+    strands = tuple(S.geometric(head, ratio) for head in heads)
+    spec = S.SequenceSpec(tuple(prefix), S.MergeTail(strands))
+    assert_view_matches(spec)
+    assert S.self_similar(spec).tail.period_factor == ratio
+
+
+def test_self_similar_declines_other_tails():
+    half = S.geometric(F(1), F(1, 2))
+    for spec in (
+        S.power_sum(2),
+        S.finite((F(1), F(1, 2))),
+        S.SequenceSpec((), S.MergeTail((half, S.geometric(F(1), F(1, 3))))),
+        S.SequenceSpec((), S.MergeTail((half, S.power_sum(2)))),
+    ):
+        assert S.self_similar(spec) is None
