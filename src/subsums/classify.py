@@ -106,12 +106,15 @@ class TermTailProfile:
         """Relations of term n to tail n for n = 1..count.
 
         Fewer when the reordering is a shorter finite spec. Raises
-        IndeterminateComparison as compare_term_tail does.
+        IndeterminateComparison as compare_term_tail does. A strand merge
+        is compared on its self-similar view, the same terms with
+        closed-form tail sums, so the merge is walked once, not per term.
         """
-        total = self.reordered.term_count()
+        spec = self_similar(self.reordered) or self.reordered
+        total = spec.term_count()
         if total is not None:
             count = min(count, total)
-        return tuple(compare_term_tail(self.reordered, n) for n in range(1, count + 1))
+        return tuple(compare_term_tail(spec, n) for n in range(1, count + 1))
 
     @property
     def gaps_recur(self) -> bool:

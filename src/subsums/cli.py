@@ -20,7 +20,7 @@ from .classify import classify
 from .construction import DEFAULT_CAP, build_cn
 from .errors import IndeterminateComparison, SubsumError, UnsupportedExponent
 from .filler import fill
-from .intervals import to_text
+from .intervals import format_components, to_text
 from .oracle import check_depth, oracle_cn
 from .rational import format_rational, parse_rational
 from .render import bar_chart, sweep
@@ -120,26 +120,47 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cn_payload(result):
+# One [left, right] pair of a cover's interval list, as
+# json.dumps(..., indent=2) lays it out one level inside the document.
+_JSON_COMPONENT = '    [\n      "%d%s",\n      "%d%s"\n    ]'
+
+
+def _json_field(value) -> str:
+    """value as json.dumps(..., indent=2) writes it one level inside the document."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _json_intervals(union) -> str:
+    if union.is_empty:
+        return "[]"
+    return "[\n" + format_components(union, _JSON_COMPONENT, ",\n") + "\n  ]"
+
+
+def _cn_json(result, **extra) -> str:
+    """The cover's JSON document, byte for byte as json.dumps(payload,
+    indent=2) writes it, with the interval lists written directly."""
     hull = result.fattened.hull()
-    payload = {
+    scalars = {
         "depth": result.depth,
         "components": result.fattened.components,
         "total_length": format_rational(result.fattened.total_length),
         "hull": [format_rational(hull.left), format_rational(hull.right)],
         "tail_exact": result.tail_exact,
-        "intervals": result.fattened.formatted(),
     }
+    fields = {key: _json_field(value) for key, value in scalars.items()}
+    fields["intervals"] = _json_intervals(result.fattened)
     if result.inner is not None:
-        payload["inner_intervals"] = result.inner.formatted()
-    return payload
+        fields["inner_intervals"] = _json_intervals(result.inner)
+    fields.update((key, _json_field(value)) for key, value in extra.items())
+    body = ",\n".join(f"  {json.dumps(key)}: {value}" for key, value in fields.items())
+    return "{\n" + body + "\n}"
 
 
 def _cmd_cn(args) -> int:
     spec = _load_seq(args.seq)
     result = build_cn(spec, args.depth, cap=args.cap)
     if args.format == "json":
-        _emit(args, json.dumps(_cn_payload(result), indent=2))
+        _emit(args, _cn_json(result))
     else:
         _emit(args, to_text(result.fattened))
     return 0
@@ -158,9 +179,7 @@ def _cmd_oracle(args) -> int:
         sys.stdout.write(to_text(brute))
         return 3
     if args.format == "json":
-        payload = _cn_payload(result)
-        payload["oracle_agrees"] = True
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, _cn_json(result, oracle_agrees=True))
     else:
         _emit(args, to_text(brute))
     return 0

@@ -120,8 +120,8 @@ def _fold_step(lo: list, hi: list, x: int) -> tuple:
         else:
             out_lo.append(a)
             out_hi.append(b)
-    out_lo.extend(v + x for v in lo[tail:])
-    out_hi.extend(v + x for v in hi[tail:])
+    out_lo += [v + x for v in lo[tail:]]
+    out_hi += [v + x for v in hi[tail:]]
     return out_lo, out_hi
 
 

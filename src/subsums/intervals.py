@@ -7,18 +7,21 @@ numerators over one denominator, in lowest terms, so equal unions have
 equal fields; every query and the text output work on the numerators, and
 ClosedIntervals of Fractions are built only when a caller iterates the
 union. The text serialization is one interval per line, "left right",
-both exact rationals.
+both exact rationals; format_components writes it, and the CLI's JSON
+interval lists, in one pass over the numerators.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import floordiv
 from typing import Iterable
 
 from .errors import EmptyUnion
-from .rational import as_fraction, format_quotient
+from .rational import as_fraction
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,6 @@ class IntervalUnion:
         idx = bisect_right(self.lo, left * self.den // den) - 1
         return idx >= 0 and -(-right * self.den // den) <= self.hi[idx]
 
-    def formatted(self) -> list:
-        """Each component's endpoints as exact rational strings."""
-        den = self.den
-        return [
-            (format_quotient(a, den), format_quotient(b, den))
-            for a, b in zip(self.lo, self.hi)
-        ]
-
 
 def _numerators(intervals: Iterable[ClosedInterval]) -> tuple:
     """The lcm of the endpoints' denominators, and the left and right
@@ -178,8 +173,30 @@ def is_subset(a: IntervalUnion, b: IntervalUnion) -> bool:
     return all(b._covers(left, right, a.den) for left, right in zip(a.lo, a.hi))
 
 
+def format_components(u: IntervalUnion, item: str, separator: str = "") -> str:
+    """Every component written with item, the items joined by separator.
+
+    item has two "%d%s" slots, left endpoint then right, each filled with
+    the endpoint's reduced numerator and a "/q" suffix ("" for a whole
+    number), so an endpoint reads as format_rational writes it. The work
+    is done in bulk: one gcd with the denominator per endpoint, one suffix
+    per distinct gcd (few: they divide the denominator), and a single
+    %-format of the whole text.
+    """
+    den, count = u.den, len(u.lo)
+    ends = [0] * (2 * count)
+    ends[0::2] = u.lo
+    ends[1::2] = u.hi
+    gcds = list(map(gcd, ends, repeat(den)))
+    suffix = {g: "" if g == den else "/%d" % (den // g) for g in set(gcds)}
+    parts = [0] * (4 * count)
+    parts[0::2] = map(floordiv, ends, gcds)
+    parts[1::2] = map(suffix.__getitem__, gcds)
+    return separator.join([item] * count) % tuple(parts)
+
+
 def to_text(u: IntervalUnion) -> str:
-    return "".join(f"{left} {right}\n" for left, right in u.formatted())
+    return format_components(u, "%d%s %d%s\n")
 
 
 def from_text(text: str) -> IntervalUnion:

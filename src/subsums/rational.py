@@ -7,7 +7,6 @@ value ever silently loses exactness.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def as_fraction(value) -> Fraction:
@@ -36,11 +35,3 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def format_quotient(numerator: int, denominator: int) -> str:
-    """format_rational of numerator/denominator (denominator > 0), by one gcd."""
-    g = gcd(numerator, denominator)
-    if g == denominator:
-        return str(numerator // g)
-    return f"{numerator // g}/{denominator // g}"

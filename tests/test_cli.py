@@ -367,6 +367,68 @@ def test_cover_output_bytes_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
 
 
+def _pairs(union):
+    return [[S.format_rational(p.left), S.format_rational(p.right)] for p in union]
+
+
+def _reference_cn_json(result, **extra):
+    """The cn/oracle JSON document as json.dumps wrote it from a payload of
+    per-endpoint Fraction strings."""
+    hull = result.fattened.hull()
+    payload = {
+        "depth": result.depth,
+        "components": result.fattened.components,
+        "total_length": S.format_rational(result.fattened.total_length),
+        "hull": [S.format_rational(hull.left), S.format_rational(hull.right)],
+        "tail_exact": result.tail_exact,
+        "intervals": _pairs(result.fattened),
+    }
+    if result.inner is not None:
+        payload["inner_intervals"] = _pairs(result.inner)
+    payload.update(extra)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["thirds", "halves", "gn", "kenyon", "ratios-2-5-3-5", "prefixed-power-sum"])
+def test_cover_json_matches_json_dumps(capsys, tmp_path, name):
+    seq = name
+    if name == "prefixed-power-sum":
+        seq = str(tmp_path / "spec.json")
+        Path(seq).write_text(json.dumps(PREFIXED_POWER_SUM))
+    spec = cli._load_seq(seq)
+    for depth in range(13):
+        result = S.build_cn(spec, depth)
+        for command, extra in (("cn", {}), ("oracle", {"oracle_agrees": True})):
+            code, out, _ = run(capsys, command, "--seq", seq, "--depth", str(depth), "--format", "json")
+            assert code == 0
+            assert out == _reference_cn_json(result, **extra)
+    assert (result.inner is not None) == (name == "prefixed-power-sum")
+
+
+@pytest.mark.parametrize("union", [
+    S.EMPTY_UNION,
+    S.from_text("0 1\n"),
+    S.from_text("-3 -5/2\n-1/2 0\n7/3 4\n"),
+    S.reflect(S.build_cn(S.PRESETS["gn"], 5).fattened, F(-7, 4)),
+])
+def test_json_interval_list_matches_json_dumps(union):
+    written = '{\n  "intervals": ' + cli._json_intervals(union) + "\n}"
+    assert written == json.dumps({"intervals": _pairs(union)}, indent=2)
+
+
+def test_classify_walks_a_strand_merge_at_most_twice(capsys, monkeypatch):
+    walks = []
+    walk = S.MergeTail.walk
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(S.MergeTail, "walk", counted_walk)
+    assert run(capsys, "classify", "--seq", "kenyon")[0] == 0
+    assert 1 <= len(walks) <= 2
+
+
 def _geo(a, rho, prefix=(), negated=False):
     data = {"tail": {"kind": "geometric", "a": a, "rho": rho}}
     if prefix:

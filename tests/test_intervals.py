@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsums as S
+from subsums.intervals import format_components
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
@@ -105,15 +106,66 @@ def test_text_round_trip():
     assert S.from_text("") == S.EMPTY_UNION
 
 
+def _reference_text(u):
+    """The text output with every endpoint formatted as its own Fraction."""
+    return "".join(f"{S.format_rational(p.left)} {S.format_rational(p.right)}\n" for p in u)
+
+
+@st.composite
+def numerator_unions(draw):
+    """Unions over a random denominator, with wide numerators and points."""
+    den = draw(st.integers(1, 10**12))
+    ends = sorted(set(draw(st.lists(st.integers(-(10**15), 10**15), max_size=20))))
+    lo, hi = ends[0::2], ends[1::2]
+    lo = lo[: len(hi)]
+    points = draw(st.lists(st.booleans(), min_size=len(hi), max_size=len(hi)))
+    hi = [a if point else b for a, b, point in zip(lo, hi, points)]
+    return S.IntervalUnion.from_numerators(den, lo, hi)
+
+
+@pytest.mark.parametrize("name", ["thirds", "halves", "gn", "kenyon", "ratios-2-5-3-5"])
+def test_to_text_of_preset_covers_matches_per_endpoint_formatting(name):
+    for depth in range(13):
+        cover = S.build_cn(S.PRESETS[name], depth)
+        assert S.to_text(cover.fattened) == _reference_text(cover.fattened)
+
+
+def test_to_text_of_inexact_cover_matches_per_endpoint_formatting():
+    cover = S.build_cn(S.power_sum(3, prefix=(F(2),)), 6)
+    assert cover.inner is not None
+    for u in (cover.fattened, cover.inner):
+        assert S.to_text(u) == _reference_text(u)
+
+
+def test_to_text_whole_negative_and_empty():
+    assert S.to_text(S.build_cn(S.PRESETS["halves"], 0).fattened) == "0 1\n"
+    text = "-3 -5/2\n-1/2 0\n7/3 4\n"
+    u = S.from_text(text)
+    assert S.to_text(u) == text == _reference_text(u)
+    assert S.to_text(S.reflect(u, 1)) == "-3 -4/3\n1 3/2\n7/2 4\n"
+    assert S.to_text(S.EMPTY_UNION) == ""
+
+
+def test_format_components_item_and_separator():
+    u = union_of((-1, "-1/2"), ("1/3", 2))
+    assert format_components(u, "[%d%s, %d%s]", "; ") == "[-1, -1/2]; [1/3, 2]"
+    assert format_components(S.EMPTY_UNION, "[%d%s, %d%s]", "; ") == ""
+
+
 @settings(max_examples=50)
 @given(st.lists(st.tuples(rationals, rationals), max_size=10), rationals, st.integers(-5, 5))
-def test_formatted_matches_format_rational(pairs, total, whole):
+def test_to_text_matches_per_endpoint_formatting(pairs, total, whole):
     u = S.normalize(iv(min(a, b), max(a, b)) for a, b in pairs)
     for v in (u, S.reflect(u, total), S.union(u, union_of((whole, whole + 1))), S.EMPTY_UNION):
-        assert v.formatted() == [
-            (S.format_rational(F(a, v.den)), S.format_rational(F(b, v.den)))
-            for a, b in zip(v.lo, v.hi)
-        ]
+        assert S.to_text(v) == _reference_text(v)
+        assert S.from_text(S.to_text(v)) == v
+
+
+@settings(max_examples=100)
+@given(numerator_unions())
+def test_to_text_matches_per_endpoint_formatting_on_numerators(u):
+    assert S.to_text(u) == _reference_text(u)
+    assert S.from_text(S.to_text(u)) == u
 
 
 def test_numerator_form_is_kept_in_lowest_terms():
