@@ -6,17 +6,29 @@ the first unused index whose term fits in g, then take consecutive terms
 while they fit. The term poking out past the run bounds the new gap, and
 a two-case argument (start term above or below g/2) shows each round at
 least halves the gap, so finitely many rounds reach any eps.
+
+A run is summed on plain integers. Its terms come from one stream, in
+blocks of 1, 2, 4, ... terms up to BLOCK_CAP; each block is summed by a
+balanced pairwise tree into an unreduced numerator/denominator pair and
+added to the run on the lcm of the two denominators. A block that fits
+whole is taken whole; the first block that overshoots is scanned term by
+term. The run sum becomes one Fraction per round.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotDivergent
 from .rational import as_fraction
-from .sequences import SequenceSpec, is_nonincreasing
+from .sequences import SequenceSpec, drop_first, is_nonincreasing
 
 DEFAULT_MAX_ROUNDS = 64
+# Largest block of a run summed at once: past it the unreduced block sum
+# grows faster than the additions it saves.
+BLOCK_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,56 @@ def _first_index_fitting(spec: SequenceSpec, lowest: int, gap: Fraction) -> int:
     return hi
 
 
+def _add(num: int, den: int, a: int, b: int) -> tuple:
+    """num/den + a/b as an unreduced pair over lcm(den, b)."""
+    g = gcd(den, b)
+    return num * (b // g) + a * (den // g), den // g * b
+
+
+def _block_sum(block: list) -> tuple:
+    """Sum of the block's terms as an unreduced pair, by a balanced tree."""
+    pairs = [(term.numerator, term.denominator) for term in block]
+    while len(pairs) > 1:
+        merged = [_add(*pairs[i], *pairs[i + 1]) for i in range(0, len(pairs) - 1, 2)]
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return pairs[0]
+
+
+def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
+    """Largest end with term(start) + ... + term(end) <= gap, and that sum.
+
+    term(start) must be at most gap. Terms are positive, so the partial
+    sums of the run strictly increase. A block is taken only when the run
+    plus the whole block is at most gap, so every partial sum inside it
+    fits too; the first block that overshoots is scanned term by term with
+    the same integer test, and the run stops at its first term that does
+    not fit. So end is the largest index whose partial sum fits, and the
+    returned Fraction is that partial sum exactly.
+    """
+    gn, gd = gap.numerator, gap.denominator
+    terms = drop_first(spec, start - 1).terms()
+    num, den = 0, 1
+    end = start - 1
+    size = 1
+    while True:
+        block = list(itertools.islice(terms, size))
+        n2, d2 = _add(num, den, *_block_sum(block))
+        if n2 * gd > gn * d2:
+            break
+        num, den = n2, d2
+        end += size
+        size = min(2 * size, BLOCK_CAP)
+    for term in block:
+        n2, d2 = _add(num, den, term.numerator, term.denominator)
+        if n2 * gd > gn * d2:
+            break
+        num, den = n2, d2
+        end += 1
+    return end, Fraction(num, den)
+
+
 def fill(
     spec: SequenceSpec,
     target,
@@ -87,15 +149,7 @@ def fill(
     next_free = 1
     while gap >= eps and len(runs) < max_rounds:
         start = _first_index_fitting(spec, next_free, gap)
-        index = start
-        run_sum = Fraction(0)
-        while True:
-            term = spec.term(index)
-            if run_sum + term > gap:
-                break
-            run_sum += term
-            index += 1
-        end = index - 1
+        end, run_sum = _longest_run(spec, start, gap)
         achieved += run_sum
         gap -= run_sum
         runs.append((start, end))

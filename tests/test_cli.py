@@ -218,6 +218,52 @@ def test_fill_bad_target(capsys):
     assert "--target" in err
 
 
+# Shifted harmonic tails with prefix terms just above 1.
+FILL_PIN_SPECS = {
+    "shifted-2-prefix-2": {
+        "prefix": ["107/100", "103/100"],
+        "tail": {"kind": "pseries", "p": 1, "start": 2},
+    },
+    "shifted-3-prefix-1": {
+        "prefix": ["101/100"],
+        "tail": {"kind": "pseries", "p": 1, "start": 3},
+    },
+}
+
+
+def _eps(digits):
+    return "1/1" + "0" * digits
+
+
+# sha256[:16] of the output as it was when each greedy run was summed one
+# Fraction addition per term.
+@pytest.mark.parametrize("argv, digest", [
+    (("--seq", "harmonic", "--target", "181/20", "--eps", _eps(30)), "3c7c6d17a83ed16b"),
+    (("--seq", "harmonic", "--target", "181/20", "--eps", _eps(30), "--format", "json"),
+     "abbb0a6c11c01cef"),
+    (("--seq", "harmonic", "--target", "2"), "4e07e9c2385c0eab"),
+    (("--seq", "harmonic", "--target", "3", "--format", "json"), "ced138f8cac1014e"),
+    (("--seq", "harmonic", "--target", "4"), "17be6a4a68e2401d"),
+    (("--seq", "harmonic", "--target", "5", "--format", "json"), "320115a2f859b352"),
+    (("--seq", "harmonic", "--target", "6"), "b269a8c0b3584b2d"),
+    (("--seq", "harmonic", "--target", "7", "--format", "json"), "74a20912685a621f"),
+    (("--seq", "harmonic", "--target", "8"), "8fe72d2c9617ca85"),
+    (("--seq", "shifted-2-prefix-2", "--target", "401/100", "--eps", _eps(20)),
+     "1985460cbcfdce98"),
+    (("--seq", "shifted-3-prefix-1", "--target", "53/10", "--eps", _eps(45), "--format", "json"),
+     "e57aaf9fa68f3425"),
+])
+def test_fill_output_bytes_pinned(capsys, tmp_path, argv, digest):
+    paths = {}
+    for name, spec in FILL_PIN_SPECS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
+    code, out, _ = run(capsys, "fill", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+
+
 def test_presets_listing(capsys):
     code, out, _ = run(capsys, "presets")
     assert code == 0
