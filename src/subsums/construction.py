@@ -85,7 +85,7 @@ def subset_sum_starts(spec, depth: int, cap: int = DEFAULT_CAP) -> tuple:
     Takes the specs build_cn takes, divergent ones too: the zero-width fold
     needs no tail. Raises CapExceeded when there are more than cap sums (a
     fold step only adds sums, so no step exceeds the cap unless the last
-    one does).
+    one does; a step refused before it runs is one that would exceed it).
     """
     spec = _positive(spec, depth, cap)
     den, numerators = _numerators(list(itertools.islice(spec.terms(), depth)))
@@ -93,18 +93,18 @@ def subset_sum_starts(spec, depth: int, cap: int = DEFAULT_CAP) -> tuple:
     return tuple(Fraction(s, den) for s in sums)
 
 
-def _fold_step(lo: list, hi: list, x: int) -> tuple:
+def _fold_step(lo: list, hi: list, x: int, head: int, tail: int) -> tuple:
     """Components of U u (U + x) for U given as sorted lo/hi lists.
 
     U's components are disjoint with strict gaps and U starts at 0, so
     those ending below x meet no shifted component, and shifted ones
-    starting past U's end meet no original one: both runs are copied. The
-    rest is a two-pointer merge that coalesces overlapping or abutting
-    pairs, the rule normalize uses.
+    starting past U's end meet no original one: both runs are copied, and
+    each copied component stays a component of the result. The first head
+    components end below x, those from index tail on start past
+    hi[-1] - x. The rest is a two-pointer merge that coalesces overlapping
+    or abutting pairs, the rule normalize uses.
     """
     n = len(lo)
-    head = bisect_left(hi, x)
-    tail = bisect_right(lo, hi[-1] - x)
     out_lo, out_hi = lo[:head], hi[:head]
     i, j = head, 0
     while i < n or j < tail:
@@ -129,15 +129,21 @@ def _fold(numerators: list, width: int, cap: int) -> tuple:
     """{0,x_1} + ... + {0,x_n} + [0, width], folded right to left.
 
     numerators are those of x_1..x_n, and width is a numerator over the
-    same denominator. Returns the components' sorted lo/hi lists.
+    same denominator. Returns the components' sorted lo/hi lists. A step
+    whose two copied runs already hold more than cap components raises
+    CapExceeded before it builds its lists; any other step is checked
+    after it.
     """
     lo, hi = [0], [width]
-    for k in range(len(numerators), 0, -1):
-        lo, hi = _fold_step(lo, hi, numerators[k - 1])
-        if len(lo) > cap:
-            raise CapExceeded(
-                f"component cap {cap} exceeded at term {k} of {len(numerators)}"
-            )
+    n = len(numerators)
+    for k in range(n, 0, -1):
+        x = numerators[k - 1]
+        head, tail = bisect_left(hi, x), bisect_right(lo, hi[-1] - x)
+        if head + len(lo) - tail <= cap:
+            lo, hi = _fold_step(lo, hi, x, head, tail)
+            if len(lo) <= cap:
+                continue
+        raise CapExceeded(f"component cap {cap} exceeded at term {k} of {n}")
     return lo, hi
 
 

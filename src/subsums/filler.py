@@ -7,12 +7,14 @@ while they fit. The term poking out past the run bounds the new gap, and
 a two-case argument (start term above or below g/2) shows each round at
 least halves the gap, so finitely many rounds reach any eps.
 
-A run is summed on plain integers. Its terms come from one stream, in
-blocks of 1, 2, 4, ... terms up to BLOCK_CAP; each block is summed by a
-balanced pairwise tree into an unreduced numerator/denominator pair and
-added to the run on the lcm of the two denominators. A block that fits
-whole is taken whole; the first block that overshoots is scanned term by
-term. The run sum becomes one Fraction per round.
+A run is summed on plain integers. Its terms come from the spec's stream
+of (numerator, denominator) pairs (SequenceSpec.pairs; a power-sum tail
+yields (1, k**p) without building a Fraction), in blocks of 1, 2, 4, ...
+terms up to BLOCK_CAP. Each block is summed by a balanced pairwise tree,
+one comprehension per level, into an unreduced pair, and added to the
+run on the lcm of the two denominators. A block that fits whole is taken
+whole; the first block that overshoots is scanned term by term. The run
+sum becomes one Fraction per round.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from .sequences import SequenceSpec, drop_first, is_nonincreasing
 
 DEFAULT_MAX_ROUNDS = 64
 # Largest block of a run summed at once: past it the unreduced block sum
-# grows faster than the additions it saves.
+# grows faster than the additions it saves. A power of two, as _block_sum
+# needs.
 BLOCK_CAP = 256
 
 
@@ -77,19 +80,28 @@ def _add(num: int, den: int, a: int, b: int) -> tuple:
 
 
 def _block_sum(block: list) -> tuple:
-    """Sum of the block's terms as an unreduced pair, by a balanced tree."""
-    pairs = [(term.numerator, term.denominator) for term in block]
-    while len(pairs) > 1:
-        merged = [_add(*pairs[i], *pairs[i + 1]) for i in range(0, len(pairs) - 1, 2)]
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    return pairs[0]
+    """Sum of the block's (numerator, denominator) pairs, unreduced.
+
+    A balanced tree: each level adds neighbouring pairs on the lcm of
+    their denominators, as _add does, in one comprehension. The block
+    holds a power-of-two number of pairs (_longest_run reads blocks of
+    1, 2, 4, ... up to BLOCK_CAP from an endless stream), so every level
+    pairs up evenly; zip's strict check refuses any other length.
+    """
+    while len(block) > 1:
+        block = [
+            (a * (d // g) + c * (b // g), b // g * d)
+            for (a, b), (c, d) in zip(block[::2], block[1::2], strict=True)
+            for g in (gcd(b, d),)
+        ]
+    return block[0]
 
 
 def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
     """Largest end with term(start) + ... + term(end) <= gap, and that sum.
 
+    The run reads the spec's integer-pair stream,
+    drop_first(spec, start - 1).pairs(), so no term becomes a Fraction.
     term(start) must be at most gap. Terms are positive, so the partial
     sums of the run strictly increase. A block is taken only when the run
     plus the whole block is at most gap, so every partial sum inside it
@@ -99,20 +111,20 @@ def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
     returned Fraction is that partial sum exactly.
     """
     gn, gd = gap.numerator, gap.denominator
-    terms = drop_first(spec, start - 1).terms()
+    pairs = drop_first(spec, start - 1).pairs()
     num, den = 0, 1
     end = start - 1
     size = 1
     while True:
-        block = list(itertools.islice(terms, size))
+        block = list(itertools.islice(pairs, size))
         n2, d2 = _add(num, den, *_block_sum(block))
         if n2 * gd > gn * d2:
             break
         num, den = n2, d2
         end += size
         size = min(2 * size, BLOCK_CAP)
-    for term in block:
-        n2, d2 = _add(num, den, term.numerator, term.denominator)
+    for a, b in block:
+        n2, d2 = _add(num, den, a, b)
         if n2 * gd > gn * d2:
             break
         num, den = n2, d2

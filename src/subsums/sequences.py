@@ -4,12 +4,13 @@ A sequence is an explicit finite prefix followed by a structured tail:
 finite (none), power-sum (1/k^p), multi-geometric (periodic tail
 proportions; one proportion is a geometric tail, which geometric()
 builds), or a descending merge of such streams. Each tail kind carries
-its own terms, drop (what is left after its first terms), order
-(nonincreasing) and tail-sum enclosure, so the spec-level functions ask the
-tail instead of branching on its kind. Terms are exact Fractions. Tail sums
-are returned as enclosures that are either exact or rigorous rational
-brackets (power sums use the integral test and can be refined by summing
-more terms explicitly).
+its own terms (also as integer (numerator, denominator) pairs), drop
+(what is left after its first terms), order (nonincreasing) and tail-sum
+enclosure, so the spec-level functions ask the tail instead of branching
+on its kind. Terms are exact Fractions. Tail sums are returned as
+enclosures that are either exact or rigorous rational brackets (power
+sums use the integral test and can be refined by summing more terms
+explicitly).
 
 Signed sequences are merges of single-signed parts; see MergedSpec,
 sign_split and summability_class.
@@ -21,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -36,6 +38,9 @@ ZERO = Fraction(0)
 # Extra explicit terms summed on each refinement attempt of an inexact
 # comparison, in order.
 REFINEMENT_STEPS = (8, 32, 128)
+
+# (numerator, denominator) of a Fraction, already in lowest terms.
+_as_pair = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,9 @@ class FiniteTail:
     def terms(self) -> Iterator[Fraction]:
         return iter(())
 
+    def pairs(self) -> Iterator[tuple]:
+        return iter(())
+
     def term_count(self) -> int:
         return 0
 
@@ -134,6 +142,9 @@ class _EndlessTail:
 
     def terms(self) -> Iterator[Fraction]:
         return map(self.term, itertools.count(1))
+
+    def pairs(self) -> Iterator[tuple]:
+        return map(_as_pair, self.terms())
 
     def term_count(self) -> None:
         return None
@@ -165,6 +176,11 @@ class PowerSumTail(_EndlessTail):
 
     def term(self, index: int) -> Fraction:
         return Fraction(1, (self.start + index - 1) ** self.exponent)
+
+    def pairs(self) -> Iterator[tuple]:
+        # 1/k^p is in lowest terms as it stands: no Fraction, no gcd.
+        p = self.exponent
+        return ((1, k**p) for k in itertools.count(self.start))
 
     def drop(self, count: int) -> SequenceSpec:
         return SequenceSpec((), PowerSumTail(self.exponent, self.start + count))
@@ -310,6 +326,9 @@ class MergeTail:
         for value, _ in self.walk():
             yield value
 
+    def pairs(self) -> Iterator[tuple]:
+        return map(_as_pair, self.terms())
+
     def term(self, index: int) -> Fraction:
         for value, _ in itertools.islice(self.walk(), index - 1, None):
             return value
@@ -401,6 +420,19 @@ class SequenceSpec:
     def terms(self) -> Iterator[Fraction]:
         values = itertools.chain(self.prefix, self.tail.terms())
         return (-value for value in values) if self.negated else values
+
+    def pairs(self) -> Iterator[tuple]:
+        """The terms in order as (numerator, denominator) integer pairs.
+
+        Each pair is in lowest terms with a positive denominator, so it
+        holds the same integers as the term's Fraction. The prefix pairs
+        come first, then the tail's own pairs(): a power-sum tail yields
+        (1, k**p) without building a Fraction. Defined for positive specs;
+        a negated spec raises ValueError, as tail_sum does.
+        """
+        if self.negated:
+            raise ValueError("term pairs are defined on positive specs")
+        return itertools.chain(map(_as_pair, self.prefix), self.tail.pairs())
 
     def term_count(self) -> Optional[int]:
         tail_count = self.tail.term_count()

@@ -109,6 +109,48 @@ def test_cap_counts_components_after_each_fold_step():
         S.build_cn(S.PRESETS["gn"], 40, cap=65536)
 
 
+def _counting_fold_steps(monkeypatch):
+    calls = []
+    step = S.construction._fold_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(S.construction, "_fold_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, name, depth, cap, term",
+    [
+        (S.build_cn, "gn", 40, 65536, 20),
+        (S.build_cn, "thirds", 14, 100, 8),
+        (S.build_cn, "gn", 12, 10, 8),
+        (S.subset_sum_starts, "gn", 40, 65536, 24),
+        (S.subset_sum_starts, "thirds", 14, 100, 8),
+    ],
+)
+def test_cap_overflowing_step_builds_no_lists(monkeypatch, build, name, depth, cap, term):
+    # The two runs a step copies unmerged already hold more than cap
+    # components, so the step at `term` is refused before it runs: the
+    # fold ran only the steps for terms depth, ..., term + 1.
+    calls = _counting_fold_steps(monkeypatch)
+    message = f"component cap {cap} exceeded at term {term} of {depth}"
+    with pytest.raises(S.CapExceeded, match=message):
+        build(S.PRESETS[name], depth, cap=cap)
+    assert len(calls) == depth - term
+
+
+def test_cap_is_still_checked_after_a_step(monkeypatch):
+    # Here the copied runs fit the cap and the merge pushes the step past
+    # it, so the step at term 3 runs and the check after it raises.
+    calls = _counting_fold_steps(monkeypatch)
+    with pytest.raises(S.CapExceeded, match="component cap 8 exceeded at term 3 of 6"):
+        S.build_cn(S.PRESETS["gn"], 6, cap=8)
+    assert len(calls) == 4
+
+
 def test_left_endpoints_are_subset_sum_starts():
     for name in ("gn", "halves"):
         spec = S.PRESETS[name]

@@ -207,3 +207,55 @@ def test_fill_harmonic_target_ten():
         assert 2 * next_gap <= gap
         gap = next_gap
     assert not result.hit_round_limit
+
+
+def _scanning_reference_fill(spec, target, eps, max_rounds):
+    """The greedy packing on any spec: scan indices for the first fitting
+    term, then add one Fraction per run term, reading spec.terms()."""
+    stream, seen = spec.terms(), []
+
+    def term(index):
+        while len(seen) < index:
+            seen.append(next(stream))
+        return seen[index - 1]
+
+    runs, gaps = [], []
+    achieved, gap, index = F(0), target, 1
+    while gap >= eps and len(runs) < max_rounds:
+        while term(index) > gap:
+            index += 1
+        start, run_sum = index, F(0)
+        while run_sum + term(index) <= gap:
+            run_sum += term(index)
+            index += 1
+        achieved += run_sum
+        gap -= run_sum
+        runs.append((start, index - 1))
+        gaps.append(gap)
+        if gap == 0:
+            break
+    return S.FillResult(tuple(runs), tuple(gaps), achieved, target, gap >= eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.fractions(min_value=F(1, 20), max_value=F(3, 2), max_denominator=60),
+    st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=20),
+    st.booleans(),
+    st.fractions(min_value=F(1, 100), max_value=4, max_denominator=1000),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=64),
+)
+def test_fill_on_a_harmonic_geometric_merge_matches_scanning_reference(
+    start, first, ratio, with_prefix, target, eps_digits, max_rounds
+):
+    # A merge tail's pairs are its Fraction terms converted, so this runs
+    # fill on the conversion path, not on the power-sum stream.
+    merge = S.MergeTail((S.power_sum(1, start=start), S.geometric(first, ratio)))
+    prefix = (F(2) * max(first, F(1, start)),) if with_prefix else ()
+    spec = S.SequenceSpec(prefix, merge)
+    eps = F(1, 10**eps_digits)
+    assert S.fill(spec, target, eps, max_rounds) == _scanning_reference_fill(
+        spec, target, eps, max_rounds
+    )

@@ -1,6 +1,7 @@
 """Sequence kinds: terms, tails, reordering, signs, comparisons."""
 import heapq
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -394,3 +395,51 @@ def test_self_similar_declines_other_tails():
         S.SequenceSpec((), S.MergeTail((half, S.power_sum(2)))),
     ):
         assert S.self_similar(spec) is None
+
+
+# One spec per tail kind, with prefixes where the kind takes one.
+_PAIR_STREAM_SPECS = {
+    "finite": S.finite((F(3), F(1), F(2, 4), F(1, 6))),
+    "power-sum": S.power_sum(2, start=3, prefix=(F(3, 2), F(1, 5))),
+    "harmonic": S.power_sum(1, start=2, prefix=(F(1),)),
+    "multi-geometric": S.multi_geometric((F(9, 20), F(6, 11)), F(5, 3), prefix=(F(2), F(6, 4))),
+    "strand-merge": S.nonincreasing_reorder(S.PRESETS["kenyon"]),
+    "harmonic-geometric-merge": S.SequenceSpec(
+        (F(4, 3),),
+        S.MergeTail((S.power_sum(1, start=2), S.geometric(F(5, 6), F(2, 3)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_STREAM_SPECS))
+def test_pairs_match_terms_for_every_tail_kind(name):
+    spec = _PAIR_STREAM_SPECS[name]
+    n = 40
+    for count in (0, 1, 2, 3, 7):
+        dropped = S.drop_first(spec, count)
+        pairs = list(itertools.islice(dropped.pairs(), n))
+        assert pairs == [(t.numerator, t.denominator) for t in take(dropped, n)]
+        # Integers, not Fractions, each pair in lowest terms.
+        assert all(type(a) is int and type(b) is int for a, b in pairs)
+        assert all(b > 0 and math.gcd(a, b) == 1 for a, b in pairs)
+
+
+def test_power_sum_pairs_build_no_fraction(monkeypatch):
+    def no_term(tail, index):
+        raise AssertionError("pairs() built a term")
+
+    monkeypatch.setattr(S.PowerSumTail, "term", no_term)
+    pairs = S.power_sum(3, start=4, prefix=(F(1, 2),)).pairs()
+    assert list(itertools.islice(pairs, 4)) == [(1, 2), (1, 64), (1, 125), (1, 216)]
+
+
+def test_pairs_reject_negated_specs():
+    for spec in (
+        S.power_sum(1, negated=True),
+        S.geometric(F(1, 2), F(1, 2), prefix=(F(2),), negated=True),
+        S.finite((F(1),), negated=True),
+    ):
+        with pytest.raises(ValueError):
+            spec.pairs()
+        first = next(spec.absolute().terms())
+        assert next(spec.absolute().pairs()) == (first.numerator, first.denominator)
