@@ -37,7 +37,6 @@ from .errors import (
     SubsumError,
     UnsupportedExponent,
     UnsupportedKind,
-    WrongKind,
 )
 from .filler import FillResult, fill
 from .intervals import (
@@ -78,6 +77,7 @@ from .sequences import (
     drop_first,
     finite,
     geometric,
+    geometric_strands,
     is_nonincreasing,
     multi_geometric,
     nonincreasing_reorder,

@@ -40,7 +40,6 @@ from typing import Optional
 from .construction import build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .sequences import (
-    MergeTail,
     MultiGeometricTail,
     PowerSumTail,
     SequenceSpec,
@@ -49,6 +48,7 @@ from .sequences import (
     combine_parts,
     compare_term_tail,
     finite,
+    geometric_strands,
     nonincreasing_reorder,
     positive_spec,
     self_similar,
@@ -69,7 +69,6 @@ COUNT_DEPTH_SLACK = 6
 
 class EventualKind(Enum):
     ALL_EXCEED = "all-exceed"
-    ALL_BOUND = "all-bound"
     EVENTUALLY_BOUND = "eventually-bound"
     EXCEEDS_INFINITELY_OFTEN = "exceeds-infinitely-often"
 
@@ -79,7 +78,7 @@ class EventualVerdict:
     """Analytic description of the term/tail comparison pattern.
 
     after: for EVENTUALLY_BOUND, the last index whose term exceeds its
-    tail (0 when none ever does, which is reported as ALL_BOUND).
+    tail (0 when none ever does).
     exceed_count: total number of exceed events, when finite.
     """
 
@@ -161,13 +160,11 @@ def _region_verdict(
         if all(pattern) and len(head_exceeds) == head_count:
             return EventualVerdict(EventualKind.ALL_EXCEED, proof, exceed_count=None)
         return EventualVerdict(EventualKind.EXCEEDS_INFINITELY_OFTEN, proof)
-    exceeds = sorted(head_exceeds + list(middle_exceeds))
-    if not exceeds:
-        return EventualVerdict(EventualKind.ALL_BOUND, proof, after=0, exceed_count=0)
+    exceeds = head_exceeds + list(middle_exceeds)
     return EventualVerdict(
         EventualKind.EVENTUALLY_BOUND,
         proof,
-        after=max(exceeds),
+        after=max(exceeds, default=0),
         exceed_count=len(exceeds),
     )
 
@@ -181,7 +178,7 @@ def _analytic_eventual(spec: SequenceSpec):
     prefix_len = len(spec.prefix)
     kind = spec.tail
     if isinstance(kind, PowerSumTail):
-        if kind.divergent:
+        if kind.exponent == 1:
             # An infinite tail bounds every term, but divergent specs are
             # classified by summability, not by gap analysis.
             return None, None
@@ -251,17 +248,10 @@ def digit_form(spec: SequenceSpec) -> tuple:
     """
     if spec.negated or spec.prefix:
         raise NotDigitForm("digit strands need a prefix-free positive spec")
-    kind = spec.tail
-    if isinstance(kind, MultiGeometricTail):
-        heads = kind.heads
-        ratio = kind.period_factor
-    elif isinstance(kind, MergeTail):
-        ratio = kind.common_ratio()
-        if ratio is None:
-            raise NotDigitForm("merged strands are not geometric with one ratio")
-        heads = tuple(s.tail.heads[0] for s in kind.parts)
-    else:
-        raise NotDigitForm(f"no digit reduction for {type(kind).__name__}")
+    strands = geometric_strands(spec.tail)
+    if strands is None:
+        raise NotDigitForm("terms are not geometric strands with one ratio")
+    heads, ratio = strands
     if ratio.numerator != 1 or ratio.denominator < 2:
         raise NotDigitForm(f"strand ratio {ratio} is not 1/base")
     base = ratio.denominator
@@ -359,12 +349,8 @@ def _exact_component_count(spec, stabilized_depth) -> Optional[int]:
     return None
 
 
-def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
-    """Classify the subsum set of a (possibly signed, merged) spec.
-
-    digit_base_limit, when set, skips the digit-coverage certificate for
-    bases above it (parameter sweeps cap the denominators they try).
-    """
+def classify(spec) -> Verdict:
+    """Classify the subsum set of a (possibly signed, merged) spec."""
     pos, neg, plus, minus = sign_split(spec)
     summability = summability_of(plus, minus)
     base = Verdict(
@@ -405,7 +391,7 @@ def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
     if eventual is None:
         return base
 
-    if eventual.kind in (EventualKind.ALL_BOUND, EventualKind.EVENTUALLY_BOUND):
+    if eventual.kind is EventualKind.EVENTUALLY_BOUND:
         if (
             isinstance(reordered.tail, PowerSumTail)
             and not reordered.prefix
@@ -444,8 +430,6 @@ def classify(spec, digit_base_limit: Optional[int] = None) -> Verdict:
     try:
         digit_base, numerators = digit_form(reordered)
     except NotDigitForm:
-        return base
-    if digit_base_limit is not None and digit_base > digit_base_limit:
         return base
     certificate = digit_coverage_test(digit_base, numerators)
     if certificate is None:

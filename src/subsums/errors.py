@@ -33,10 +33,6 @@ class EmptyUnion(SubsumError):
     """The operation needs a nonempty interval union."""
 
 
-class WrongKind(SubsumError):
-    """The sequence does not have the shape this operation expects."""
-
-
 class IndeterminateComparison(SubsumError):
     """A term/tail comparison survived the whole refinement budget."""
 

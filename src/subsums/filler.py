@@ -149,7 +149,7 @@ def fill(
         raise ValueError("max_rounds must be at least 1")
     if spec.negated:
         raise ValueError("fill needs a positive spec")
-    if not spec.divergent:
+    if spec.total().hi is not None:
         raise NotDivergent("fill needs a divergent positive sequence")
     if not is_nonincreasing(spec):
         raise ValueError("fill needs a non-increasing spec")

@@ -49,9 +49,10 @@ class ClosedInterval:
 class IntervalUnion:
     """Normalized union: components [lo[i]/den, hi[i]/den].
 
-    IntervalUnion(intervals) takes normalized ClosedIntervals; normalize()
-    and union() take any. from_numerators() is the constructor for callers
-    that already hold numerators (the cover fold and the oracle).
+    IntervalUnion(intervals) takes any ClosedIntervals and normalizes
+    them, as normalize() and union() do. from_numerators() is the
+    constructor for callers that already hold normalized numerators (the
+    cover fold and the oracle).
     """
 
     den: int
@@ -59,7 +60,18 @@ class IntervalUnion:
     hi: tuple
 
     def __init__(self, intervals):
-        self._set(*_numerators(intervals))
+        """Sort, merge overlapping or abutting intervals, and dedupe."""
+        den, lefts, rights = _numerators(intervals)
+        lo: list = []
+        hi: list = []
+        for a, b in sorted(zip(lefts, rights)):
+            if hi and a <= hi[-1]:
+                if b > hi[-1]:
+                    hi[-1] = b
+            else:
+                lo.append(a)
+                hi.append(b)
+        self._set(den, lo, hi)
 
     @classmethod
     def from_numerators(cls, den: int, lo, hi) -> IntervalUnion:
@@ -138,17 +150,7 @@ EMPTY_UNION = IntervalUnion(())
 
 def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
     """Sort, merge overlapping or abutting intervals, and dedupe."""
-    den, lefts, rights = _numerators(intervals)
-    lo: list = []
-    hi: list = []
-    for a, b in sorted(zip(lefts, rights)):
-        if hi and a <= hi[-1]:
-            if b > hi[-1]:
-                hi[-1] = b
-        else:
-            lo.append(a)
-            hi.append(b)
-    return IntervalUnion.from_numerators(den, lo, hi)
+    return IntervalUnion(intervals)
 
 
 def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:

@@ -21,7 +21,6 @@ CHART_WIDTH = 1000
 CHART_HEIGHT = 200
 MIN_BAR_WIDTH = Fraction(1, 2)
 
-SWEEP_DIGIT_BASE_LIMIT = 12
 MARKED_CELL = (Fraction(9, 20), Fraction(6, 11))
 
 VERDICT_FILL = {
@@ -118,7 +117,7 @@ class SweepGrid:
 
 def _classify_cell(alpha: Fraction, beta: Fraction) -> SweepCell:
     spec = multi_geometric((alpha, beta), Fraction(1))
-    verdict = classify(spec, digit_base_limit=SWEEP_DIGIT_BASE_LIMIT)
+    verdict = classify(spec)
     lam = (1 - alpha) * (1 - beta)
     return SweepCell(alpha, beta, lam, verdict, is_nonincreasing(spec))
 

@@ -3,14 +3,17 @@
 A sequence is an explicit finite prefix followed by a structured tail:
 finite (none), power-sum (1/k^p), multi-geometric (periodic tail
 proportions; one proportion is a geometric tail, which geometric()
-builds), or a descending merge of such streams. Each tail kind carries
-its own terms (also as integer (numerator, denominator) pairs), drop
-(what is left after its first terms), order (nonincreasing) and tail-sum
-enclosure, so the spec-level functions ask the tail instead of branching
-on its kind. Terms are exact Fractions. Tail sums are returned as
-enclosures that are either exact or rigorous rational brackets (power
-sums use the integral test and can be refined by summing more terms
-explicitly).
+builds), or a descending merge of such streams. The four kinds share one
+base, _Tail: each defines term or terms and gets the other, plus pairs
+(the terms as integer (numerator, denominator) pairs), term_count and
+nonincreasing; each adds drop (what is left after its first terms) and
+its tail-sum enclosure. So the spec-level functions ask the tail instead
+of branching on its kind. Divergence is the enclosure's infinite end:
+total().hi is None. geometric_strands is the one reading of a tail as
+geometric strands with a common ratio. Terms are exact Fractions. Tail
+sums are returned as enclosures that are either exact or rigorous
+rational brackets (power sums use the integral test and can be refined
+by summing more terms explicitly).
 
 Signed sequences are merges of single-signed parts; see MergedSpec,
 sign_split and summability_class.
@@ -108,20 +111,38 @@ class TailEnclosure:
         return TailEnclosure(lo, hi)
 
 
-@dataclass(frozen=True)
-class FiniteTail:
-    """No generated terms after the prefix."""
+class _Tail:
+    """Members shared by the four tail kinds.
 
-    divergent = False
+    Each kind defines term or terms, and the other is read from it: term
+    walks the stream, terms maps term over 1, 2, ... A kind that defines
+    neither recurses. Each kind adds drop and enclosure, and overrides
+    term_count (None here: endless), nonincreasing and pairs where its
+    own answer differs.
+    """
+
     nonincreasing = True
 
     def term(self, index: int) -> Fraction:
-        raise IndexBeyondFinite(f"finite sequence has no term {index}")
+        for value in itertools.islice(self.terms(), index - 1, None):
+            return value
+        raise IndexBeyondFinite(f"sequence has no term {index}")
 
     def terms(self) -> Iterator[Fraction]:
-        return iter(())
+        return map(self.term, itertools.count(1))
 
     def pairs(self) -> Iterator[tuple]:
+        return map(_as_pair, self.terms())
+
+    def term_count(self) -> Optional[int]:
+        return None
+
+
+@dataclass(frozen=True)
+class FiniteTail(_Tail):
+    """No generated terms after the prefix."""
+
+    def terms(self) -> Iterator[Fraction]:
         return iter(())
 
     def term_count(self) -> int:
@@ -134,24 +155,8 @@ class FiniteTail:
         return TailEnclosure.point(ZERO)
 
 
-class _EndlessTail:
-    """Members shared by the tails with infinitely many terms."""
-
-    divergent = False
-    nonincreasing = True
-
-    def terms(self) -> Iterator[Fraction]:
-        return map(self.term, itertools.count(1))
-
-    def pairs(self) -> Iterator[tuple]:
-        return map(_as_pair, self.terms())
-
-    def term_count(self) -> None:
-        return None
-
-
 @dataclass(frozen=True)
-class PowerSumTail(_EndlessTail):
+class PowerSumTail(_Tail):
     """Terms 1/k^exponent for k = start, start+1, ...
 
     exponent 1 is the harmonic case; its tail sum is the divergent
@@ -169,10 +174,6 @@ class PowerSumTail(_EndlessTail):
             raise UnsupportedExponent("exponent must be at least 1")
         if not isinstance(self.start, int) or self.start < 1:
             raise ValueError("start must be a positive integer")
-
-    @property
-    def divergent(self) -> bool:
-        return self.exponent == 1
 
     def term(self, index: int) -> Fraction:
         return Fraction(1, (self.start + index - 1) ** self.exponent)
@@ -202,7 +203,7 @@ class PowerSumTail(_EndlessTail):
 
 
 @dataclass(frozen=True)
-class MultiGeometricTail(_EndlessTail):
+class MultiGeometricTail(_Tail):
     """Tail driven by periodic proportions: x_{i+1} = r_j X_i with j = i mod m.
 
     total is the whole tail sum X_0; each step removes the proportion
@@ -261,17 +262,9 @@ class MultiGeometricTail(_EndlessTail):
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(self.remaining(skip))
 
-    def strands(self) -> tuple:
-        """Decompose into geometric strands, one per residue class mod m.
-
-        Strand j is geometric with first term heads[j] and ratio
-        period_factor.
-        """
-        return tuple(geometric(head, self.period_factor) for head in self.heads)
-
 
 @dataclass(frozen=True)
-class MergeTail:
+class MergeTail(_Tail):
     """Descending merge of non-increasing positive part streams.
 
     Used for the non-increasing reordering of multi-geometric tails (one
@@ -282,8 +275,6 @@ class MergeTail:
 
     parts: tuple
 
-    nonincreasing = True
-
     def __post_init__(self):
         flat = []
         for part in self.parts:
@@ -291,7 +282,7 @@ class MergeTail:
                 raise TypeError("merge parts must be sequence specs")
             if part.negated:
                 raise ValueError("merge parts must be positive")
-            if part.is_finite and not part.prefix:
+            if part.term_count() == 0:
                 raise ValueError("merge parts must be nonempty")
             if not part.prefix and isinstance(part.tail, MergeTail):
                 flat.extend(part.tail.parts)
@@ -301,10 +292,6 @@ class MergeTail:
             if not is_nonincreasing(part):
                 raise ValueError("merge parts must be non-increasing")
         object.__setattr__(self, "parts", tuple(flat))
-
-    @property
-    def divergent(self) -> bool:
-        return any(part.divergent for part in self.parts)
 
     def walk(self) -> Iterator[tuple]:
         """(value, part index) pairs in merged order; ties go to the lower index."""
@@ -325,14 +312,6 @@ class MergeTail:
     def terms(self) -> Iterator[Fraction]:
         for value, _ in self.walk():
             yield value
-
-    def pairs(self) -> Iterator[tuple]:
-        return map(_as_pair, self.terms())
-
-    def term(self, index: int) -> Fraction:
-        for value, _ in itertools.islice(self.walk(), index - 1, None):
-            return value
-        raise IndexBeyondFinite(f"merged sequence has no term {index}")
 
     def term_count(self) -> Optional[int]:
         counts = [part.term_count() for part in self.parts]
@@ -357,16 +336,6 @@ class MergeTail:
         for part, used in zip(self.parts, self.consumed(skip)):
             total = total + part.tail_sum(used, extra=extra)
         return total
-
-    def common_ratio(self) -> Optional[Fraction]:
-        """The shared ratio when every part is a prefix-free geometric strand."""
-        if not all(
-            not p.prefix and isinstance(p.tail, MultiGeometricTail) and len(p.tail.ratios) == 1
-            for p in self.parts
-        ):
-            return None
-        ratios = {p.tail.period_factor for p in self.parts}
-        return ratios.pop() if len(ratios) == 1 else None
 
 
 _TAIL_KINDS = (FiniteTail, PowerSumTail, MultiGeometricTail, MergeTail)
@@ -393,14 +362,6 @@ class SequenceSpec:
         if any(v <= 0 for v in prefix):
             raise ValueError("prefix terms must be positive before negation")
         object.__setattr__(self, "prefix", prefix)
-
-    @property
-    def divergent(self) -> bool:
-        return self.tail.divergent
-
-    @property
-    def is_finite(self) -> bool:
-        return self.tail.term_count() == 0
 
     def absolute(self) -> SequenceSpec:
         if not self.negated:
@@ -551,7 +512,7 @@ def drop_first(spec: SequenceSpec, count: int) -> SequenceSpec:
 
 
 def _wrap_merge(parts) -> SequenceSpec:
-    parts = [p for p in parts if not (p.is_finite and not p.prefix)]
+    parts = [p for p in parts if p.term_count() != 0]
     if not parts:
         return EMPTY
     if len(parts) == 1 and not parts[0].prefix:
@@ -569,15 +530,14 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     """
     if spec.negated:
         raise ValueError("reordering is defined on positive specs")
-    if is_nonincreasing(spec):
-        return spec
     sorted_prefix = SequenceSpec(tuple(sorted(spec.prefix, reverse=True)), spec.tail)
     if is_nonincreasing(sorted_prefix):
         return sorted_prefix
-    if isinstance(spec.tail, MultiGeometricTail):
-        body = _wrap_merge(spec.tail.strands())
+    kind = spec.tail
+    if isinstance(kind, MultiGeometricTail):
+        body = _wrap_merge(geometric(head, kind.period_factor) for head in kind.heads)
     else:
-        body = SequenceSpec((), spec.tail)
+        body = SequenceSpec((), kind)
     if not spec.prefix:
         return body
     return _absorb_prefix(spec.prefix, body)
@@ -594,11 +554,29 @@ def _absorb_prefix(prefix, body: SequenceSpec) -> SequenceSpec:
             break
     rest = drop_first(body, len(taken))
     new_prefix = tuple(sorted(list(prefix) + taken, reverse=True))
-    if rest.prefix:
-        # Keep a single structured tail: hoist the remainder's own prefix.
-        new_prefix = new_prefix + rest.prefix
-        rest = SequenceSpec((), rest.tail)
-    return SequenceSpec(new_prefix, rest.tail)
+    return SequenceSpec(new_prefix + rest.prefix, rest.tail)
+
+
+def geometric_strands(tail) -> Optional[tuple]:
+    """(heads, q) when the tail's terms are geometric strands with one ratio q.
+
+    A multi-geometric tail with m proportions is m strands, one per residue
+    class mod m: strand j starts at heads[j], and q is its period_factor.
+    A merge qualifies when every part is a prefix-free geometric strand
+    (a one-proportion multi-geometric tail) and all parts share q; heads
+    then holds the parts' first terms. None for any other tail.
+    """
+    if isinstance(tail, MultiGeometricTail):
+        return tail.heads, tail.period_factor
+    if not isinstance(tail, MergeTail) or any(part.prefix for part in tail.parts):
+        return None
+    kinds = [part.tail for part in tail.parts]
+    if not all(isinstance(kind, MultiGeometricTail) and len(kind.ratios) == 1 for kind in kinds):
+        return None
+    ratios = {kind.period_factor for kind in kinds}
+    if len(ratios) > 1:
+        return None
+    return tuple(kind.heads[0] for kind in kinds), ratios.pop()
 
 
 def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
@@ -621,9 +599,11 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     kind = spec.tail
     if isinstance(kind, MultiGeometricTail):
         return spec
-    if not isinstance(kind, MergeTail) or kind.common_ratio() is None:
+    strands = geometric_strands(kind)
+    if strands is None:
         return None
-    m = len(kind.parts)
+    heads, q = strands
+    m = len(heads)
     walked = []
     started = set()
     for value, idx in kind.walk():
@@ -632,7 +612,7 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
         if len(started) == m:
             break
     head, window = walked[:-m], walked[-m:]
-    total = sum((part.tail.total for part in kind.parts), start=ZERO) - sum(head, start=ZERO)
+    total = sum(heads, start=ZERO) / (1 - q) - sum(head, start=ZERO)
     ratios = []
     rest = total
     for value in window:
@@ -656,7 +636,7 @@ def combine_parts(parts) -> SequenceSpec:
     A lone nonempty part is returned as is; several become the descending
     merge of their non-increasing reorderings.
     """
-    parts = [p for p in parts if not (p.is_finite and not p.prefix)]
+    parts = [p for p in parts if p.term_count() != 0]
     if not parts:
         return EMPTY
     if len(parts) == 1:

@@ -23,8 +23,8 @@ def test_profile_geometric_all_exceed():
 def test_profile_geometric_all_bound():
     profile = S.term_tail_profile(S.PRESETS["halves"])
     assert all(rel is BD for rel in profile.comparisons(10))
-    assert profile.eventual.kind is EventualKind.ALL_BOUND
-    assert profile.eventual.exceed_count == 0
+    assert profile.eventual.kind is EventualKind.EVENTUALLY_BOUND
+    assert profile.eventual.after == profile.eventual.exceed_count == 0
 
 
 def test_profile_prefixed_geometric_eventually_bound():
@@ -100,7 +100,8 @@ def test_profile_merged_all_bound():
         S.MergeTail((S.geometric(F(1, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4)))),
     )
     profile = S.term_tail_profile(spec)
-    assert profile.eventual.kind is EventualKind.ALL_BOUND
+    assert profile.eventual.kind is EventualKind.EVENTUALLY_BOUND
+    assert profile.eventual.after == 0
     assert all(rel is BD for rel in profile.comparisons(10))
 
 
@@ -391,12 +392,6 @@ def test_digit_coverage_examples():
         S.digit_coverage_test(4, (0,))
 
 
-def test_digit_base_limit_downgrades_to_undetermined():
-    verdict = S.classify(S.PRESETS["gn"], digit_base_limit=3)
-    assert verdict.kind is S.VerdictKind.UNDETERMINED
-    assert verdict.known_infinitely_many
-
-
 def test_one_point_components_thirds():
     points = S.one_point_components(S.PRESETS["thirds"], 1)
     assert points == (F(0), F(1, 6), F(1, 3), F(1, 2))
@@ -457,55 +452,52 @@ VERDICT_FIELDS = (
 # VERDICT_FIELDS order.
 VERDICT_TABLE = [
     ("whole-line",
-     S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True))), None,
+     S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True))),
      (K.WHOLE_LINE, COND, None, None, None, None, True, None, None, None, None, False, None)),
-    ("half-line-up-exact", S.PRESETS["harmonic"], None,
+    ("half-line-up-exact", S.PRESETS["harmonic"],
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(0), None, True, None, None, None, None, False, None)),
     ("half-line-down-exact",
-     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)), S.power_sum(1, negated=True))), None,
+     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)), S.power_sum(1, negated=True))),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(1), True, None, None, None, None, False, None)),
     ("half-line-down-inexact",
-     S.MergedSpec((S.power_sum(2), S.power_sum(1, negated=True))), None,
+     S.MergedSpec((S.power_sum(2), S.power_sum(1, negated=True))),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(2), False, None, None, None, None, False, None)),
     ("half-line-up-inexact",
-     S.MergedSpec((S.power_sum(2, negated=True), S.power_sum(1))), None,
+     S.MergedSpec((S.power_sum(2, negated=True), S.power_sum(1))),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(-2), None, False, None, None, None, None, False, None)),
-    ("finite-spec", S.finite((F(1), F(1, 2))), None,
+    ("finite-spec", S.finite((F(1), F(1, 2))),
      (K.FINITE_UNION, ABS, None, None, F(0), F(3, 2), True, 4, 4, 4, F(0), False, None)),
     ("signed-translation",
      S.MergedSpec((S.geometric(F(1, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4), negated=True))),
-     None,
      (K.FINITE_UNION, ABS, None, None, F(-2, 3), F(1, 3), True, 1, 1, 1, F(-2, 3), False, None)),
-    ("pseries-bounds", S.power_sum(2), None,
+    ("pseries-bounds", S.power_sum(2),
      (K.FINITE_UNION, ABS, None, None, F(0), F(2), False, 2, 4, 2, F(0), False, None)),
-    ("all-exceed", S.PRESETS["thirds"], None,
+    ("all-exceed", S.PRESETS["thirds"],
      (K.CANTOR_SET, ABS, "AllExceed", None, F(0), F(1, 2), True, None, None, None, F(0), True, None)),
-    ("lambda-below-quarter", S.PRESETS["ratios-2-5-3-5"], None,
+    ("lambda-below-quarter", S.PRESETS["ratios-2-5-3-5"],
      (K.CANTOR_SET, ABS, "LambdaBelowQuarter", None, F(0), F(1), True, None, None, None, F(0),
       True, None)),
-    ("digit-proven", S.PRESETS["gn"], None,
+    ("digit-proven", S.PRESETS["gn"],
      (K.SYMMETRIC_CANTORVAL, ABS, "DigitCoverage", "Proven", F(0), F(5, 3), True, None, None,
       None, F(0), True, S.CoverageCertificate(4, (3, 2), (0, 2, 3, 5), (0, 5, 2, 3)))),
-    ("digit-presumed", S.PRESETS["kenyon"], None,
+    ("digit-presumed", S.PRESETS["kenyon"],
      (K.SYMMETRIC_CANTORVAL, ABS, "DigitCoverage", "PaperPresumed", F(0), F(7, 3), True, None,
       None, None, F(0), True, S.CoverageCertificate(4, (6, 1), (0, 1, 6, 7), (0, 1, 6, 7)))),
-    ("digit-base-limit", S.PRESETS["gn"], 3,
-     (K.UNDETERMINED, ABS, None, None, F(0), F(5, 3), True, None, None, None, F(0), True, None)),
-    ("undetermined-recurring", S.multi_geometric((F(4, 11), F(6, 11)), F(1)), None,
+    ("undetermined-recurring", S.multi_geometric((F(4, 11), F(6, 11)), F(1)),
      (K.UNDETERMINED, ABS, None, None, F(0), F(1), True, None, None, None, F(0), True, None)),
     ("undetermined-no-pattern",
-     S.MergedSpec((S.geometric(F(1), F(1, 2)), S.geometric(F(1), F(1, 3)))), None,
+     S.MergedSpec((S.geometric(F(1), F(1, 2)), S.geometric(F(1), F(1, 3)))),
      (K.UNDETERMINED, ABS, None, None, F(0), F(7, 2), True, None, None, None, F(0), False, None)),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, limit, expected",
+    "spec, expected",
     [row[1:] for row in VERDICT_TABLE],
     ids=[row[0] for row in VERDICT_TABLE],
 )
-def test_verdict_fields_per_rule(spec, limit, expected):
-    verdict = S.classify(spec, digit_base_limit=limit)
+def test_verdict_fields_per_rule(spec, expected):
+    verdict = S.classify(spec)
     got = {name: getattr(verdict, name) for name in VERDICT_FIELDS}
     assert got == dict(zip(VERDICT_FIELDS, expected))
     assert {f.name for f in fields(S.Verdict)} == set(VERDICT_FIELDS) | {"profile"}

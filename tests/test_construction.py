@@ -271,7 +271,7 @@ def ifs_maps(spec):
     """
     kind = spec.tail
     if spec.prefix or not isinstance(kind, S.MultiGeometricTail) or len(kind.ratios) != 2:
-        raise S.WrongKind("IFS maps need a prefix-free two-ratio multi-geometric spec")
+        raise ValueError("IFS maps need a prefix-free two-ratio multi-geometric spec")
     if spec.negated:
         raise ValueError("IFS maps are defined for positive specs")
     lam = kind.period_factor
@@ -338,7 +338,7 @@ def test_ifs_maps_bigeometric():
     assert [m.factor for m in maps] == [F(6, 25)] * 4
     assert [m.offset for m in maps] == [F(0), F(9, 25), F(2, 5), F(19, 25)]
     assert ifs_maps(S.PRESETS["gn"])[0].factor == F(1, 4)
-    with pytest.raises(S.WrongKind):
+    with pytest.raises(ValueError):
         ifs_maps(S.PRESETS["thirds"])
 
 

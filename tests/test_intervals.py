@@ -44,6 +44,16 @@ def test_normalize_keeps_disjoint_and_sorts():
     assert [p.left for p in u] == [F(0), F(3, 2), F(3)]
 
 
+def test_constructor_normalizes_unsorted_overlapping_and_abutting_input():
+    pieces = [iv(1, 2), iv(0, 3), iv(5, 6), iv(4, 5), iv(8, 8), iv("7/2", "7/2"), iv(8, 8)]
+    u = S.IntervalUnion(pieces)
+    assert u == S.normalize(pieces)
+    assert (u.den, u.lo, u.hi) == (2, (0, 7, 8, 16), (6, 7, 12, 16))
+    assert u.contains(F(9, 2)) and u.contains(F(5, 2)) and not u.contains(F(13, 4))
+    assert S.is_subset(union_of((0, 3), (4, 6)), u)
+    assert S.IntervalUnion([iv(1, 2), iv(0, 3)]).lo == (0,)
+
+
 @given(st.lists(st.tuples(rationals, rationals), max_size=12))
 def test_normalize_idempotent_and_order_insensitive(pairs):
     raw = [iv(min(a, b), max(a, b)) for a, b in pairs]

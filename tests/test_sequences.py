@@ -93,7 +93,7 @@ def test_power_sum_enclosure_brackets():
 
 def test_harmonic_diverges():
     spec = S.power_sum(1)
-    assert spec.divergent
+    assert spec.total().hi is None
     assert spec.tail_sum(5).hi is None
     assert spec.term(10) == F(1, 10)
 
@@ -384,17 +384,32 @@ def test_self_similar_matches_common_ratio_merges(ratio, heads, prefix):
     spec = S.SequenceSpec(tuple(prefix), S.MergeTail(strands))
     assert_view_matches(spec)
     assert S.self_similar(spec).tail.period_factor == ratio
+    assert S.geometric_strands(spec.tail) == (tuple(heads), ratio)
 
 
 def test_self_similar_declines_other_tails():
     half = S.geometric(F(1), F(1, 2))
-    for spec in (
+    quarter = F(1, 4)
+    declined = (
         S.power_sum(2),
         S.finite((F(1), F(1, 2))),
         S.SequenceSpec((), S.MergeTail((half, S.geometric(F(1), F(1, 3))))),
         S.SequenceSpec((), S.MergeTail((half, S.power_sum(2)))),
-    ):
+        S.SequenceSpec((), S.MergeTail((
+            S.geometric(F(1, 2), quarter, prefix=(F(1),)), S.geometric(F(1, 4), quarter),
+        ))),
+    )
+    for spec in declined:
         assert S.self_similar(spec) is None
+        assert S.geometric_strands(spec.tail) is None
+    # The specs whose terms are geometric strands with one ratio.
+    one_ratio_part = S.MergeTail((
+        S.multi_geometric((F(3, 4),), F(1)), S.geometric(F(1, 2), quarter),
+    ))
+    assert S.geometric_strands(S.PRESETS["gn"].tail) == ((F(3, 4), F(1, 2)), quarter)
+    kenyon = S.nonincreasing_reorder(S.PRESETS["kenyon"]).tail
+    assert S.geometric_strands(kenyon) == ((F(3, 2), F(1, 4)), quarter)
+    assert S.geometric_strands(one_ratio_part) == ((F(3, 4), F(1, 2)), quarter)
 
 
 # One spec per tail kind, with prefixes where the kind takes one.
@@ -409,6 +424,8 @@ _PAIR_STREAM_SPECS = {
         S.MergeTail((S.power_sum(1, start=2), S.geometric(F(5, 6), F(2, 3)))),
     ),
 }
+# The specs whose sums diverge.
+_DIVERGENT_STREAMS = {"harmonic", "harmonic-geometric-merge"}
 
 
 @pytest.mark.parametrize("name", sorted(_PAIR_STREAM_SPECS))
@@ -422,6 +439,14 @@ def test_pairs_match_terms_for_every_tail_kind(name):
         # Integers, not Fractions, each pair in lowest terms.
         assert all(type(a) is int and type(b) is int for a, b in pairs)
         assert all(b > 0 and math.gcd(a, b) == 1 for a, b in pairs)
+        # Random access reads the same stream, on the spec and on its tail.
+        for seq in (dropped, dropped.tail):
+            stream = list(itertools.islice(seq.terms(), 12))
+            assert [seq.term(i) for i in range(1, len(stream) + 1)] == stream
+            if len(stream) < 12:
+                with pytest.raises(S.IndexBeyondFinite):
+                    seq.term(len(stream) + 1)
+        assert (dropped.total().hi is None) == (name in _DIVERGENT_STREAMS)
 
 
 def test_power_sum_pairs_build_no_fraction(monkeypatch):
