@@ -208,8 +208,8 @@ def _analytic_eventual(spec: SequenceSpec):
 def term_tail_profile(spec) -> TermTailProfile:
     """Term/tail profile of a positive spec or merge.
 
-    The input goes through positive_spec (ValueError when any part is
-    negated) and is reordered non-increasingly. Only the indices the
+    The input goes through positive_spec (ValueError when a merge has a
+    negative part) and is reordered non-increasingly. Only the indices the
     eventual verdict needs are compared here; TermTailProfile.comparisons
     computes the pointwise relations on demand.
     """
@@ -246,8 +246,8 @@ def digit_form(spec: SequenceSpec) -> tuple:
     are scaled to integers with content 1, which preserves residue
     coverage. Raises NotDigitForm otherwise.
     """
-    if spec.negated or spec.prefix:
-        raise NotDigitForm("digit strands need a prefix-free positive spec")
+    if spec.prefix:
+        raise NotDigitForm("digit strands need a prefix-free spec")
     strands = geometric_strands(spec.tail)
     if strands is None:
         raise NotDigitForm("terms are not geometric strands with one ratio")
@@ -365,7 +365,7 @@ def classify(spec) -> Verdict:
     if summability is SummabilityClass.UNCONDITIONALLY_UNSUMMABLE:
         return replace(base, kind=VerdictKind.UNBOUNDED_INTERVAL)
     base = replace(base, translation=minus.value if minus.exact else None)
-    abs_spec = combine_parts((pos, neg.absolute()))
+    abs_spec = combine_parts((pos, neg))
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:

@@ -152,8 +152,9 @@ def build_cn(spec, depth: int, cap: int = DEFAULT_CAP) -> CnResult:
 
     Takes a positive summable spec, or a merge of positive specs, whose
     cover is that of their non-increasing merge. Raises ValueError for a
-    cap below 1 or negated parts, DivergentTail for a divergent spec, and
-    CapExceeded when a fold step leaves more than cap components.
+    cap below 1 or a merge with a negative part, DivergentTail for a
+    divergent spec, and CapExceeded when a fold step leaves more than cap
+    components.
     """
     spec = _positive(spec, depth, cap)
     if spec.total().hi is None:

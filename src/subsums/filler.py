@@ -25,7 +25,7 @@ from math import gcd
 
 from .errors import NotDivergent
 from .rational import as_fraction
-from .sequences import SequenceSpec, drop_first, is_nonincreasing
+from .sequences import SequenceSpec, drop_first, is_nonincreasing, positive_spec
 
 DEFAULT_MAX_ROUNDS = 64
 # Largest block of a run summed at once: past it the unreduced block sum
@@ -133,12 +133,16 @@ def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
 
 
 def fill(
-    spec: SequenceSpec,
+    spec,
     target,
     eps,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> FillResult:
-    """Pack target to within eps by greedy runs of consecutive terms."""
+    """Pack target to within eps by greedy runs of consecutive terms.
+
+    Takes a positive spec, or a merge of positive specs, whose terms are
+    those of their non-increasing merge (positive_spec).
+    """
     target = as_fraction(target)
     eps = as_fraction(eps)
     if target <= 0:
@@ -147,8 +151,7 @@ def fill(
         raise ValueError("eps must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    if spec.negated:
-        raise ValueError("fill needs a positive spec")
+    spec = positive_spec(spec)
     if spec.total().hi is not None:
         raise NotDivergent("fill needs a divergent positive sequence")
     if not is_nonincreasing(spec):

@@ -15,8 +15,12 @@ sums are returned as enclosures that are either exact or rigorous
 rational brackets (power sums use the integral test and can be refined
 by summing more terms explicitly).
 
-Signed sequences are merges of single-signed parts; see MergedSpec,
-sign_split and summability_class.
+Every SequenceSpec is positive, and every algorithm built on it (covers,
+the oracle, fill, reordering, digit certificates) sees positive terms
+only. A sign is stored in one place: a signed sequence is a MergedSpec of
+positive parts and negative parts, the latter held as specs of their
+absolute values. sign_split reads the two, and summability_class their
+sums.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+import operator
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -43,7 +47,7 @@ ZERO = Fraction(0)
 REFINEMENT_STEPS = (8, 32, 128)
 
 # (numerator, denominator) of a Fraction, already in lowest terms.
-_as_pair = attrgetter("numerator", "denominator")
+_as_pair = operator.attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
@@ -280,8 +284,6 @@ class MergeTail(_Tail):
         for part in self.parts:
             if not isinstance(part, SequenceSpec):
                 raise TypeError("merge parts must be sequence specs")
-            if part.negated:
-                raise ValueError("merge parts must be positive")
             if part.term_count() == 0:
                 raise ValueError("merge parts must be nonempty")
             if not part.prefix and isinstance(part.tail, MergeTail):
@@ -346,41 +348,31 @@ TailKind = Union[_TAIL_KINDS]
 class SequenceSpec:
     """An explicit prefix of positive terms followed by a structured tail.
 
-    negated=True flips the sign of every term; a spec is always
-    single-signed. Signed sequences are built by merging specs of opposite
-    signs (MergedSpec).
+    Every term is positive. Signed sequences are merges that hold their
+    negative parts as specs of the absolute values (MergedSpec).
     """
 
     prefix: tuple = ()
     tail: TailKind = FiniteTail()
-    negated: bool = False
 
     def __post_init__(self):
         if not isinstance(self.tail, _TAIL_KINDS):
             raise UnsupportedKind(f"unknown tail kind {type(self.tail).__name__}")
         prefix = tuple(as_fraction(v) for v in self.prefix)
         if any(v <= 0 for v in prefix):
-            raise ValueError("prefix terms must be positive before negation")
+            raise ValueError("prefix terms must be positive")
         object.__setattr__(self, "prefix", prefix)
 
-    def absolute(self) -> SequenceSpec:
-        if not self.negated:
-            return self
-        return SequenceSpec(self.prefix, self.tail, negated=False)
-
     def term(self, index: int) -> Fraction:
-        """Exact index-th term (1-based), including sign."""
+        """Exact index-th term (1-based)."""
         if index < 1:
             raise ValueError("term indices start at 1")
         if index <= len(self.prefix):
-            value = self.prefix[index - 1]
-        else:
-            value = self.tail.term(index - len(self.prefix))
-        return -value if self.negated else value
+            return self.prefix[index - 1]
+        return self.tail.term(index - len(self.prefix))
 
     def terms(self) -> Iterator[Fraction]:
-        values = itertools.chain(self.prefix, self.tail.terms())
-        return (-value for value in values) if self.negated else values
+        return itertools.chain(self.prefix, self.tail.terms())
 
     def pairs(self) -> Iterator[tuple]:
         """The terms in order as (numerator, denominator) integer pairs.
@@ -388,11 +380,8 @@ class SequenceSpec:
         Each pair is in lowest terms with a positive denominator, so it
         holds the same integers as the term's Fraction. The prefix pairs
         come first, then the tail's own pairs(): a power-sum tail yields
-        (1, k**p) without building a Fraction. Defined for positive specs;
-        a negated spec raises ValueError, as tail_sum does.
+        (1, k**p) without building a Fraction.
         """
-        if self.negated:
-            raise ValueError("term pairs are defined on positive specs")
         return itertools.chain(map(_as_pair, self.prefix), self.tail.pairs())
 
     def term_count(self) -> Optional[int]:
@@ -402,13 +391,7 @@ class SequenceSpec:
         return len(self.prefix) + tail_count
 
     def tail_sum(self, skip: int, extra: int = 0) -> TailEnclosure:
-        """Enclosure of the sum of all terms after the first `skip`.
-
-        Defined for positive specs; take .absolute() first and negate the
-        enclosure for negated ones.
-        """
-        if self.negated:
-            raise ValueError("tail sums are defined on positive specs")
+        """Enclosure of the sum of all terms after the first `skip`."""
         if skip < 0:
             raise ValueError("skip must be nonnegative")
         if skip < len(self.prefix):
@@ -422,20 +405,26 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class MergedSpec:
-    """Interleaving of single-signed specs, positive parts first."""
+    """Round-robin interleaving of positive parts and negative parts.
 
-    parts: tuple
+    negative holds each negative part as the spec of its absolute values,
+    so this is the one place a sign is stored. terms() takes the positive
+    streams first, then the negative ones, whose terms it negates.
+    """
+
+    positive: tuple = ()
+    negative: tuple = ()
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        if not all(isinstance(p, SequenceSpec) for p in parts):
-            raise TypeError("merged parts must be sequence specs")
-        object.__setattr__(self, "parts", parts)
+        for name in ("positive", "negative"):
+            parts = tuple(getattr(self, name))
+            if not all(isinstance(p, SequenceSpec) for p in parts):
+                raise TypeError("merged parts must be sequence specs")
+            object.__setattr__(self, name, parts)
 
     def terms(self) -> Iterator[Fraction]:
-        ordered = [p for p in self.parts if not p.negated]
-        ordered += [p for p in self.parts if p.negated]
-        streams = [p.terms() for p in ordered]
+        streams = [p.terms() for p in self.positive]
+        streams += [map(operator.neg, p.terms()) for p in self.negative]
         while streams:
             alive = []
             for stream in streams:
@@ -457,7 +446,7 @@ def as_merged(spec) -> MergedSpec:
 # --- factories ---------------------------------------------------------------
 
 
-def geometric(first, ratio, prefix=(), negated=False) -> SequenceSpec:
+def geometric(first, ratio, prefix=()) -> SequenceSpec:
     """Terms first * ratio^(i-1) after the prefix: the one-proportion
     multi-geometric tail with proportion 1 - ratio."""
     first = as_fraction(first)
@@ -467,20 +456,19 @@ def geometric(first, ratio, prefix=(), negated=False) -> SequenceSpec:
     if not 0 < ratio < 1:
         raise ValueError("geometric ratio must lie strictly between 0 and 1")
     kind = MultiGeometricTail((1 - ratio,), first / (1 - ratio))
-    return SequenceSpec(tuple(prefix), kind, negated)
+    return SequenceSpec(tuple(prefix), kind)
 
 
-def power_sum(exponent: int, start: int = 1, prefix=(), negated=False) -> SequenceSpec:
-    return SequenceSpec(tuple(prefix), PowerSumTail(exponent, start), negated)
+def power_sum(exponent: int, start: int = 1, prefix=()) -> SequenceSpec:
+    return SequenceSpec(tuple(prefix), PowerSumTail(exponent, start))
 
 
-def multi_geometric(ratios, total, prefix=(), negated=False) -> SequenceSpec:
-    kind = MultiGeometricTail(tuple(ratios), total)
-    return SequenceSpec(tuple(prefix), kind, negated)
+def multi_geometric(ratios, total, prefix=()) -> SequenceSpec:
+    return SequenceSpec(tuple(prefix), MultiGeometricTail(tuple(ratios), total))
 
 
-def finite(terms, negated=False) -> SequenceSpec:
-    return SequenceSpec(tuple(terms), FiniteTail(), negated)
+def finite(terms) -> SequenceSpec:
+    return SequenceSpec(tuple(terms), FiniteTail())
 
 
 EMPTY = SequenceSpec((), FiniteTail())
@@ -501,9 +489,7 @@ def is_nonincreasing(spec: SequenceSpec) -> bool:
 
 
 def drop_first(spec: SequenceSpec, count: int) -> SequenceSpec:
-    """The spec with its first `count` terms removed (positive specs)."""
-    if spec.negated:
-        raise ValueError("drop_first is defined on positive specs")
+    """The spec with its first `count` terms removed."""
     if count <= 0:
         return spec
     if count < len(spec.prefix):
@@ -523,13 +509,11 @@ def _wrap_merge(parts) -> SequenceSpec:
 def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     """A spec generating the same multiset of terms in non-increasing order.
 
-    Positive specs only. Power-sum and merge tails are already sorted;
-    multi-geometric tails become a descending merge of their geometric
-    strands (a geometric tail is its own one strand); an out-of-order
-    prefix absorbs every tail term at least as large as its smallest entry.
+    Power-sum and merge tails are already sorted; multi-geometric tails
+    become a descending merge of their geometric strands (a geometric tail
+    is its own one strand); an out-of-order prefix absorbs every tail term
+    at least as large as its smallest entry.
     """
-    if spec.negated:
-        raise ValueError("reordering is defined on positive specs")
     sorted_prefix = SequenceSpec(tuple(sorted(spec.prefix, reverse=True)), spec.tail)
     if is_nonincreasing(sorted_prefix):
         return sorted_prefix
@@ -618,7 +602,7 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     for value in window:
         ratios.append(value / rest)
         rest -= value
-    return multi_geometric(ratios, total, spec.prefix + tuple(head), spec.negated)
+    return multi_geometric(ratios, total, spec.prefix + tuple(head))
 
 
 # --- summability and sign handling -------------------------------------------
@@ -645,33 +629,29 @@ def combine_parts(parts) -> SequenceSpec:
 
 
 def sign_split(spec) -> tuple:
-    """Split into (positive part, negative part, positive sum, negative sum).
+    """Split into (positive part, |negative part|, positive sum, negative sum).
 
-    The sums are enclosures; the negative sum is <= 0 and may be the
-    -infinity enclosure for divergent negative parts.
+    Both parts are positive specs; the negative part is given by its
+    absolute values. The sums are enclosures; the negative sum is <= 0 and
+    may be the -infinity enclosure for divergent negative parts.
     """
     merged = as_merged(spec)
-    pos_parts = [p for p in merged.parts if not p.negated]
-    neg_parts = [p.absolute() for p in merged.parts if p.negated]
-    pos = combine_parts(pos_parts)
-    neg_abs = combine_parts(neg_parts)
-    plus = pos.total()
-    minus = neg_abs.total().negate()
-    neg = SequenceSpec(neg_abs.prefix, neg_abs.tail, negated=True)
-    return pos, neg, plus, minus
+    pos = combine_parts(merged.positive)
+    neg = combine_parts(merged.negative)
+    return pos, neg, pos.total(), neg.total().negate()
 
 
 def positive_spec(spec) -> SequenceSpec:
-    """The positive spec that defines the covers of a spec or merge.
+    """The positive spec that a spec or merge stands for.
 
     A SequenceSpec is returned as is; a merge becomes the non-increasing
     merge of its parts, the positive part of sign_split. Raises ValueError
-    when any part is negated.
+    when the merge has a negative part.
     """
     merged = as_merged(spec)
-    if any(p.negated for p in merged.parts):
-        raise ValueError("covers are defined for positive specs")
-    return spec if isinstance(spec, SequenceSpec) else combine_parts(merged.parts)
+    if merged.negative:
+        raise ValueError("expected positive specs; this merge has negative parts")
+    return spec if isinstance(spec, SequenceSpec) else combine_parts(merged.positive)
 
 
 def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClass:

@@ -4,6 +4,11 @@ The wire format is a JSON object {"prefix": [...], "tail": {...},
 "negated": false} with rationals written as "p/q" strings or integers,
 or {"merge": [spec, spec, ...]} for interleaved specs. A bare string is
 looked up as a preset name wherever a spec is expected.
+
+"negated": true loads as a MergedSpec with the spec as its one negative
+part; a merge flattens its parts, nested merges included, into the
+positive and negative tuples. dump_spec writes a merge with one negative
+part and nothing else back as that part's object with "negated": true.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from .sequences import (
     MultiGeometricTail,
     PowerSumTail,
     SequenceSpec,
+    as_merged,
     geometric,
     multi_geometric,
     power_sum,
@@ -30,6 +36,12 @@ PRESETS = {
     "kenyon": multi_geometric((Fraction(9, 14), Fraction(3, 10)), Fraction(7, 3)),
     "ratios-2-5-3-5": multi_geometric((Fraction(2, 5), Fraction(3, 5)), Fraction(1)),
 }
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array")
+    return value
 
 
 def _rational(value) -> Fraction:
@@ -55,7 +67,7 @@ def _load_tail(data):
             raise ValueError("pseries start must be an integer")
         return PowerSumTail(exponent, start)
     if kind == "multigeometric":
-        ratios = tuple(_rational(r) for r in data["ratios"])
+        ratios = tuple(_rational(r) for r in _array(data["ratios"], "ratios"))
         return MultiGeometricTail(ratios, _rational(data["total"]))
     raise ValueError(f"unknown tail kind {kind!r}")
 
@@ -73,23 +85,22 @@ def load_spec(data):
         extra = set(data) - {"merge"}
         if extra:
             raise ValueError(f"unexpected keys with merge: {sorted(extra)}")
-        parts = tuple(load_spec(part) for part in data["merge"])
-        flat = []
-        for part in parts:
-            if isinstance(part, MergedSpec):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        return MergedSpec(tuple(flat))
+        positive, negative = [], []
+        for item in _array(data["merge"], "merge"):
+            part = as_merged(load_spec(item))
+            positive.extend(part.positive)
+            negative.extend(part.negative)
+        return MergedSpec(positive, negative)
     extra = set(data) - {"prefix", "tail", "negated"}
     if extra:
         raise ValueError(f"unexpected spec keys: {sorted(extra)}")
-    prefix = tuple(_rational(value) for value in data.get("prefix", ()))
+    prefix = tuple(_rational(value) for value in _array(data.get("prefix", []), "prefix"))
     tail = _load_tail(data.get("tail"))
     negated = data.get("negated", False)
     if not isinstance(negated, bool):
         raise ValueError("negated must be a boolean")
-    return SequenceSpec(prefix, tail, negated)
+    spec = SequenceSpec(prefix, tail)
+    return MergedSpec((), (spec,)) if negated else spec
 
 
 def _dump_tail(kind):
@@ -119,13 +130,14 @@ def _dump_tail(kind):
 def dump_spec(spec) -> dict:
     """Inverse of load_spec, producing plain JSON-ready data."""
     if isinstance(spec, MergedSpec):
-        return {"merge": [dump_spec(part) for part in spec.parts]}
+        negated = [{**dump_spec(part), "negated": True} for part in spec.negative]
+        if spec.positive or len(negated) != 1:
+            return {"merge": [*map(dump_spec, spec.positive), *negated]}
+        return negated[0]
     data = {}
     if spec.prefix:
         data["prefix"] = [format_rational(x) for x in spec.prefix]
     tail = _dump_tail(spec.tail)
     if tail is not None:
         data["tail"] = tail
-    if spec.negated:
-        data["negated"] = True
     return data

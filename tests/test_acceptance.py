@@ -243,10 +243,10 @@ def test_acceptance_10_fill_harmonic(capsys):
 
 def test_acceptance_11_signed_split(capsys):
     with _Budget(5):
-        signed = S.MergedSpec((
-            S.geometric(F(1, 4), F(1, 4)),
-            S.geometric(F(1, 2), F(1, 4), negated=True),
-        ))
+        signed = S.MergedSpec(
+            (S.geometric(F(1, 4), F(1, 4)),),
+            (S.geometric(F(1, 2), F(1, 4)),),
+        )
         verdict = S.classify(signed)
         assert verdict.kind is S.VerdictKind.FINITE_UNION
         assert (verdict.hull_lo, verdict.hull_hi) == (F(-2, 3), F(1, 3))

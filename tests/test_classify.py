@@ -107,7 +107,7 @@ def test_profile_merged_all_bound():
 
 def test_profile_rejects_negated():
     with pytest.raises(ValueError):
-        S.term_tail_profile(S.geometric(F(1, 2), F(1, 2), negated=True))
+        S.term_tail_profile(S.MergedSpec((), (S.geometric(F(1, 2), F(1, 2)),)))
 
 
 def test_profile_comparisons_on_demand():
@@ -131,7 +131,7 @@ def test_profile_and_one_point_components_take_positive_merges():
     points = S.one_point_components(S.MergedSpec(parts), 4)
     assert points == S.one_point_components(S.combine_parts(parts), 4)
 
-    signed = S.MergedSpec((parts[0], S.geometric(F(1, 4), F(1, 2), negated=True)))
+    signed = S.MergedSpec((parts[0],), (S.geometric(F(1, 4), F(1, 2)),))
     with pytest.raises(ValueError):
         S.term_tail_profile(signed)
     with pytest.raises(ValueError):
@@ -280,27 +280,24 @@ def test_classify_harmonic_half_line():
 
 
 def test_classify_negative_divergent_half_line():
-    merged = S.MergedSpec((
-        S.geometric(F(1, 2), F(1, 2)),
-        S.power_sum(1, negated=True),
-    ))
+    merged = S.MergedSpec((S.geometric(F(1, 2), F(1, 2)),), (S.power_sum(1),))
     verdict = S.classify(merged)
     assert verdict.kind is S.VerdictKind.UNBOUNDED_INTERVAL
     assert (verdict.hull_lo, verdict.hull_hi) == (None, F(1))
 
 
 def test_classify_conditionally_summable_whole_line():
-    merged = S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True)))
+    merged = S.MergedSpec((S.power_sum(1),), (S.power_sum(1, start=2),))
     verdict = S.classify(merged)
     assert verdict.kind is S.VerdictKind.WHOLE_LINE
     assert (verdict.hull_lo, verdict.hull_hi) == (None, None)
 
 
 def test_classify_signed_halves():
-    signed = S.MergedSpec((
-        S.geometric(F(1, 4), F(1, 4)),
-        S.geometric(F(1, 2), F(1, 4), negated=True),
-    ))
+    signed = S.MergedSpec(
+        (S.geometric(F(1, 4), F(1, 4)),),
+        (S.geometric(F(1, 2), F(1, 4)),),
+    )
     verdict = S.classify(signed)
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert verdict.component_count == 1
@@ -452,23 +449,23 @@ VERDICT_FIELDS = (
 # VERDICT_FIELDS order.
 VERDICT_TABLE = [
     ("whole-line",
-     S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True))),
+     S.MergedSpec((S.power_sum(1),), (S.power_sum(1, start=2),)),
      (K.WHOLE_LINE, COND, None, None, None, None, True, None, None, None, None, False, None)),
     ("half-line-up-exact", S.PRESETS["harmonic"],
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(0), None, True, None, None, None, None, False, None)),
     ("half-line-down-exact",
-     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)), S.power_sum(1, negated=True))),
+     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)),), (S.power_sum(1),)),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(1), True, None, None, None, None, False, None)),
     ("half-line-down-inexact",
-     S.MergedSpec((S.power_sum(2), S.power_sum(1, negated=True))),
+     S.MergedSpec((S.power_sum(2),), (S.power_sum(1),)),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, None, F(2), False, None, None, None, None, False, None)),
     ("half-line-up-inexact",
-     S.MergedSpec((S.power_sum(2, negated=True), S.power_sum(1))),
+     S.MergedSpec((S.power_sum(1),), (S.power_sum(2),)),
      (K.UNBOUNDED_INTERVAL, UNCOND, None, None, F(-2), None, False, None, None, None, None, False, None)),
     ("finite-spec", S.finite((F(1), F(1, 2))),
      (K.FINITE_UNION, ABS, None, None, F(0), F(3, 2), True, 4, 4, 4, F(0), False, None)),
     ("signed-translation",
-     S.MergedSpec((S.geometric(F(1, 4), F(1, 4)), S.geometric(F(1, 2), F(1, 4), negated=True))),
+     S.MergedSpec((S.geometric(F(1, 4), F(1, 4)),), (S.geometric(F(1, 2), F(1, 4)),)),
      (K.FINITE_UNION, ABS, None, None, F(-2, 3), F(1, 3), True, 1, 1, 1, F(-2, 3), False, None)),
     ("pseries-bounds", S.power_sum(2),
      (K.FINITE_UNION, ABS, None, None, F(0), F(2), False, 2, 4, 2, F(0), False, None)),

@@ -176,6 +176,27 @@ def test_cover_of_signed_merge_is_usage_error(capsys, tmp_path):
     assert "positive" in err
 
 
+_HARMONIC_PART = {"tail": {"kind": "pseries", "p": 1}}
+_HALVES_PART = {"tail": {"kind": "geometric", "a": "1/2", "rho": "1/2"}}
+
+
+def test_fill_takes_a_merge_of_positive_specs(capsys, tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps({"merge": [_HARMONIC_PART, _HALVES_PART]}))
+    code, out, err = run(capsys, "fill", "--seq", str(path), "--target", "3")
+    assert code == 0, err
+    assert out.splitlines()[0] == "runs: 1..6 8..8"
+
+
+def test_fill_of_signed_merge_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"merge": [_HARMONIC_PART, {**_HALVES_PART, "negated": True}]}))
+    code, _, err = run(capsys, "fill", "--seq", str(path), "--target", "3")
+    assert code == 1
+    assert "positive" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_depth_limit_fires_before_build(capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("build_cn ran past the oracle depth limit")

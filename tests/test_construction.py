@@ -179,7 +179,7 @@ def test_positive_merge_cover_is_that_of_its_reordering():
         cover = S.build_cn(merged, n).fattened
         assert cover == S.build_cn(reordered, n).fattened
         assert cover == S.oracle_cn(merged, n)
-    signed = S.MergedSpec((parts[0], S.geometric(F(1, 4), F(1, 2), negated=True)))
+    signed = S.MergedSpec((parts[0],), (S.geometric(F(1, 4), F(1, 2)),))
     with pytest.raises(ValueError):
         S.build_cn(signed, 3)
     with pytest.raises(ValueError):
@@ -272,8 +272,6 @@ def ifs_maps(spec):
     kind = spec.tail
     if spec.prefix or not isinstance(kind, S.MultiGeometricTail) or len(kind.ratios) != 2:
         raise ValueError("IFS maps need a prefix-free two-ratio multi-geometric spec")
-    if spec.negated:
-        raise ValueError("IFS maps are defined for positive specs")
     lam = kind.period_factor
     x1 = kind.term(1)
     x2 = kind.term(2)

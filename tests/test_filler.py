@@ -88,7 +88,7 @@ def test_fill_rejects_bad_inputs():
     with pytest.raises(ValueError):
         S.fill(S.PRESETS["harmonic"], F(1, 2), F(0))
     with pytest.raises(ValueError):
-        S.fill(S.power_sum(1, negated=True), F(1, 2), F(1, 100))
+        S.fill(S.MergedSpec((), (S.power_sum(1),)), F(1, 2), F(1, 100))
 
 
 def test_fill_round_limit_flag():

@@ -47,10 +47,10 @@ def test_subset_sums_reflection_closure():
 
 
 def test_subset_sums_signed_translation():
-    signed = S.MergedSpec((
-        S.geometric(F(1, 4), F(1, 4)),
-        S.geometric(F(1, 2), F(1, 4), negated=True),
-    ))
+    signed = S.MergedSpec(
+        (S.geometric(F(1, 4), F(1, 4)),),
+        (S.geometric(F(1, 2), F(1, 4)),),
+    )
     n = 10
     table = S.subset_sums(signed, n)
     first = list(itertools.islice(signed.terms(), n))
@@ -88,7 +88,7 @@ def test_oracle_cn_rejects_divergent():
 
 def test_oracle_cn_rejects_negated():
     with pytest.raises(ValueError):
-        S.oracle_cn(S.geometric(F(1, 2), F(1, 2), negated=True), 3)
+        S.oracle_cn(S.MergedSpec((), (S.geometric(F(1, 2), F(1, 2)),)), 3)
 
 
 def test_membership_probe_excluded_point():
@@ -171,7 +171,7 @@ def test_probe_error_order():
     with pytest.raises(ValueError):
         S.membership_probe(S.PRESETS["thirds"], F(1, 3), -1)
     with pytest.raises(ValueError):
-        S.membership_probe(S.geometric(F(1, 2), F(1, 2), negated=True), F(1, 3), 3)
+        S.membership_probe(S.MergedSpec((), (S.geometric(F(1, 2), F(1, 2)),)), F(1, 3), 3)
     with pytest.raises(S.DivergentTail):
         S.membership_probe(harmonic, F(1), 3)
 
@@ -263,8 +263,9 @@ def test_inner_cover_is_per_mask_sums_widened_by_lower_tail_bound(spec, n):
     assert S.is_subset(result.inner, result.fattened)
 
 
-_signed_parts = st.builds(
-    S.finite, st.lists(_values, min_size=1, max_size=4), st.booleans()
+# (part, negated) pairs: a finite part and whether it enters negated.
+_signed_parts = st.tuples(
+    st.builds(S.finite, st.lists(_values, min_size=1, max_size=4)), st.booleans()
 )
 
 
@@ -272,9 +273,12 @@ _signed_parts = st.builds(
 @given(st.lists(_signed_parts, min_size=2, max_size=3))
 def test_signed_subset_sums_are_the_hornich_translation(parts):
     # Finite parts, so the truncation holds every term in any order.
-    spec = S.MergedSpec(tuple(parts))
-    count = sum(len(part.prefix) for part in parts)
+    spec = S.MergedSpec(
+        tuple(part for part, negated in parts if not negated),
+        tuple(part for part, negated in parts if negated),
+    )
+    count = sum(len(part.prefix) for part, _ in parts)
     pos, neg, _, minus = S.sign_split(spec)
-    absolute = S.combine_parts((pos, neg.absolute()))
+    absolute = S.combine_parts((pos, neg))
     translated = {s + minus.lo for s in S.subset_sums(absolute, count).sums}
     assert set(S.subset_sums(spec, count).sums) == translated

@@ -53,10 +53,11 @@ def test_geometric_is_the_one_proportion_multigeometric_tail():
 
 
 def test_prefix_terms_are_one_based_and_signed():
-    spec = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),), negated=True)
-    assert spec.term(1) == F(-2)
-    assert spec.term(2) == F(-1, 2)
-    assert take(spec, 3) == [F(-2), F(-1, 2), F(-1, 4)]
+    spec = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),))
+    signed = S.MergedSpec((), (spec,))
+    assert spec.term(1) == F(2)
+    assert spec.term(2) == F(1, 2)
+    assert take(signed, 3) == [F(-2), F(-1, 2), F(-1, 4)]
 
 
 def test_finite_spec_term_count_and_errors():
@@ -150,10 +151,10 @@ def test_merge_tail_rejects_empty_parts():
 
 
 def test_merged_spec_round_robin_puts_positives_first():
-    signed = S.MergedSpec((
-        S.geometric(F(1, 4), F(1, 4)),
-        S.geometric(F(1, 2), F(1, 4), negated=True),
-    ))
+    signed = S.MergedSpec(
+        (S.geometric(F(1, 4), F(1, 4)),),
+        (S.geometric(F(1, 2), F(1, 4)),),
+    )
     assert take(signed, 4) == [F(1, 4), F(-1, 2), F(1, 16), F(-1, 8)]
 
 
@@ -203,18 +204,19 @@ def test_spec_rejects_unknown_tail_kind():
 
 
 def test_sign_split_enclosures():
-    signed = S.MergedSpec((
-        S.geometric(F(1, 4), F(1, 4)),
-        S.geometric(F(1, 2), F(1, 4), negated=True),
-    ))
+    signed = S.MergedSpec(
+        (S.geometric(F(1, 4), F(1, 4)),),
+        (S.geometric(F(1, 2), F(1, 4)),),
+    )
     pos, neg, plus, minus = S.sign_split(signed)
     assert plus.value == F(1, 3)
     assert minus.value == F(-2, 3)
-    assert not pos.negated and neg.negated
+    # Both parts come back positive: the negative part as its absolute values.
+    assert pos == signed.positive[0] and neg == signed.negative[0]
 
 
 def test_sign_split_divergent_positive_part():
-    merged = S.MergedSpec((S.power_sum(1), S.geometric(F(1, 2), F(1, 2), negated=True)))
+    merged = S.MergedSpec((S.power_sum(1),), (S.geometric(F(1, 2), F(1, 2)),))
     _, _, plus, minus = S.sign_split(merged)
     assert plus.hi is None
     assert minus.value == F(-1)
@@ -225,9 +227,9 @@ def test_summability_classes():
         S.summability_class(S.as_merged(S.PRESETS["thirds"])).value
         == "absolutely-summable"
     )
-    both = S.MergedSpec((S.power_sum(1), S.power_sum(1, start=2, negated=True)))
+    both = S.MergedSpec((S.power_sum(1),), (S.power_sum(1, start=2),))
     assert S.summability_class(both).value == "conditionally-summable"
-    one = S.MergedSpec((S.power_sum(1), S.geometric(F(1), F(1, 2), negated=True)))
+    one = S.MergedSpec((S.power_sum(1),), (S.geometric(F(1), F(1, 2)),))
     assert S.summability_class(one).value == "unconditionally-unsummable"
 
 
@@ -295,13 +297,6 @@ def test_drop_first_merge_tail_keeps_order():
     reordered = S.nonincreasing_reorder(S.PRESETS["kenyon"])
     dropped = S.drop_first(reordered, 3)
     assert take(dropped, 4) == [F(3, 32), F(1, 16), F(3, 128), F(1, 64)]
-
-
-def test_tail_sum_rejects_negated():
-    spec = S.geometric(F(1, 2), F(1, 2), negated=True)
-    with pytest.raises(ValueError):
-        spec.tail_sum(0)
-    assert spec.absolute().tail_sum(0).value == F(1)
 
 
 _values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
@@ -456,15 +451,3 @@ def test_power_sum_pairs_build_no_fraction(monkeypatch):
     monkeypatch.setattr(S.PowerSumTail, "term", no_term)
     pairs = S.power_sum(3, start=4, prefix=(F(1, 2),)).pairs()
     assert list(itertools.islice(pairs, 4)) == [(1, 2), (1, 64), (1, 125), (1, 216)]
-
-
-def test_pairs_reject_negated_specs():
-    for spec in (
-        S.power_sum(1, negated=True),
-        S.geometric(F(1, 2), F(1, 2), prefix=(F(2),), negated=True),
-        S.finite((F(1),), negated=True),
-    ):
-        with pytest.raises(ValueError):
-            spec.pairs()
-        first = next(spec.absolute().terms())
-        assert next(spec.absolute().pairs()) == (first.numerator, first.denominator)

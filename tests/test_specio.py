@@ -1,10 +1,14 @@
 """Loading and dumping sequence descriptions."""
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsums as S
+import subsums.cli as cli
 
 
 def _first(spec, n=6):
@@ -55,8 +59,9 @@ def test_load_spec_prefix_and_negated():
         "tail": {"kind": "geometric", "a": "1/8", "rho": "1/2"},
         "negated": True,
     })
-    assert spec.prefix == (F(2), F(1, 2))
-    assert spec.negated
+    (part,) = spec.negative
+    assert part.prefix == (F(2), F(1, 2))
+    assert spec == S.MergedSpec((), (part,))
     assert _first(spec, 3) == [F(-2), F(-1, 2), F(-1, 8)]
 
 
@@ -115,7 +120,7 @@ def test_load_spec_merge_flattens():
         ],
     }
     spec = S.load_spec(data)
-    assert len(spec.parts) == 3
+    assert len(spec.positive) == 3
 
 
 def test_load_spec_rejects_unknown_keys():
@@ -130,7 +135,7 @@ def test_load_spec_rejects_unknown_keys():
 def test_dump_load_round_trip():
     for name, spec in S.PRESETS.items():
         assert S.load_spec(S.dump_spec(spec)) == spec
-    prefixed = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),), negated=True)
+    prefixed = S.MergedSpec((), (S.geometric(F(1, 2), F(1, 2), prefix=(F(2),)),))
     assert S.load_spec(S.dump_spec(prefixed)) == prefixed
 
 
@@ -153,10 +158,10 @@ def test_one_ratio_multigeometric_dumps_as_geometric():
 
 
 def test_dump_merge_round_trip_terms():
-    merged = S.MergedSpec((
-        S.geometric(F(1, 4), F(1, 4)),
-        S.geometric(F(1, 2), F(1, 4), negated=True),
-    ))
+    merged = S.MergedSpec(
+        (S.geometric(F(1, 4), F(1, 4)),),
+        (S.geometric(F(1, 2), F(1, 4)),),
+    )
     loaded = S.load_spec(S.dump_spec(merged))
     assert _first(loaded, 8) == _first(merged, 8)
 
@@ -171,3 +176,63 @@ def test_dump_spec_rational_strings():
     data = S.dump_spec(S.PRESETS["gn"])
     assert data["tail"]["ratios"] == ["9/20", "6/11"]
     assert data["tail"]["total"] == "5/3"
+
+
+@pytest.mark.parametrize("field, data", [
+    ("prefix", {"prefix": "12"}),
+    ("merge", {"merge": {"gn": 0, "thirds": 1}}),
+    ("ratios", {"tail": {"kind": "multigeometric", "ratios": {"1/3": 0}, "total": "1"}}),
+], ids=["prefix", "merge", "ratios"])
+def test_load_spec_rejects_non_array_fields(field, data, tmp_path, capsys):
+    # A string or object iterates as its characters or keys; only an
+    # array may stand where a list belongs.
+    with pytest.raises(ValueError, match=f"{field} must be a JSON array"):
+        S.load_spec(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["classify", "--seq", str(path)]) == 1
+    assert "JSON array" in capsys.readouterr().err
+
+
+_values = st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40)
+_prefixes = st.lists(_values, max_size=2)
+_parts = st.one_of(
+    st.builds(S.finite, st.lists(_values, min_size=1, max_size=3)),
+    st.builds(
+        lambda a, rho, prefix: S.geometric(a, rho, prefix=prefix),
+        _values,
+        st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12),
+        _prefixes,
+    ),
+    st.builds(
+        lambda p, start, prefix: S.power_sum(p, start, prefix=prefix),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        _prefixes,
+    ),
+)
+
+
+def _round_robin(signed_parts, n):
+    """First n terms of (sign, part) pairs taken in turn: round k reads term
+    k of every part that has one."""
+    out = []
+    k = 1
+    while len(out) < n:
+        live = [(sign, part) for sign, part in signed_parts
+                if part.term_count() is None or part.term_count() >= k]
+        if not live:
+            break
+        out.extend(sign * part.term(k) for sign, part in live)
+        k += 1
+    return out[:n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_parts, max_size=3), st.lists(_parts, max_size=3))
+def test_signed_merge_wire_round_trip(positive, negative):
+    merged = S.MergedSpec(tuple(positive), tuple(negative))
+    wire = json.loads(json.dumps(S.dump_spec(merged)))
+    assert S.load_spec(wire) == merged
+    reference = _round_robin([(1, p) for p in positive] + [(-1, p) for p in negative], 12)
+    assert _first(merged, 12) == reference
