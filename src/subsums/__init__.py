@@ -85,6 +85,7 @@ from .sequences import (
     self_similar,
     sign_split,
     summability_class,
+    term_tail_relations,
 )
 from .specio import PRESETS, dump_spec, load_spec
 

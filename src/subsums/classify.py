@@ -22,8 +22,8 @@ that fires gives the verdict:
 Rules 3-6 read the term/tail profile of the non-increasing reordering.
 Strand merges are read through self_similar: the same terms as a prefix
 followed by a multi-geometric tail. The eventual verdict takes its
-periodic pattern from the proportions and compares the head terms with
-closed-form tail sums.
+periodic pattern from the proportions and its head relations from one
+term_tail_relations pass, against closed-form tail sums on the view.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -46,7 +46,6 @@ from .sequences import (
     SummabilityClass,
     TermTailRelation,
     combine_parts,
-    compare_term_tail,
     finite,
     geometric_strands,
     nonincreasing_reorder,
@@ -54,6 +53,7 @@ from .sequences import (
     self_similar,
     sign_split,
     summability_of,
+    term_tail_relations,
 )
 
 HALF = Fraction(1, 2)
@@ -102,18 +102,13 @@ class TermTailProfile:
     pseries_bound_from: Optional[int] = None
 
     def comparisons(self, count: int) -> tuple:
-        """Relations of term n to tail n for n = 1..count.
+        """Relations of term n to tail n for n = 1..count: term_tail_relations.
 
-        Fewer when the reordering is a shorter finite spec. Raises
-        IndeterminateComparison as compare_term_tail does. A strand merge
+        Fewer when the reordering is a shorter finite spec. A strand merge
         is compared on its self-similar view, the same terms with
         closed-form tail sums, so the merge is walked once, not per term.
         """
-        spec = self_similar(self.reordered) or self.reordered
-        total = spec.term_count()
-        if total is not None:
-            count = min(count, total)
-        return tuple(compare_term_tail(spec, n) for n in range(1, count + 1))
+        return term_tail_relations(self_similar(self.reordered) or self.reordered, count)
 
     @property
     def gaps_recur(self) -> bool:
@@ -138,29 +133,21 @@ def _pseries_bound_threshold(exponent: int) -> int:
 
 
 def _region_verdict(
-    spec: SequenceSpec,
-    head_count: int,
-    proof: str,
-    pattern,
-    middle_exceeds=(),
+    spec: SequenceSpec, head_count: int, proof: str, pattern
 ) -> EventualVerdict:
-    """Combine pointwise head comparisons with an analytic periodic region.
+    """Combine the head relations with an analytic periodic region.
 
-    pattern says, for one period of the indices past head_count, whether
+    The first head_count relations come from one term_tail_relations pass.
+    pattern says, for one period of the indices past the head, whether
     the term exceeds its tail; it repeats forever, so it decides the
-    infinite behaviour. middle_exceeds lists the exceed indices past the
-    head that precede an all-bound pattern (power sums).
+    infinite behaviour.
     """
-    head_exceeds = [
-        n
-        for n in range(1, head_count + 1)
-        if compare_term_tail(spec, n) is TermTailRelation.TERM_EXCEEDS_TAIL
-    ]
+    head = term_tail_relations(spec, head_count)
+    exceeds = [n for n, rel in enumerate(head, 1) if rel is TermTailRelation.TERM_EXCEEDS_TAIL]
     if any(pattern):
-        if all(pattern) and len(head_exceeds) == head_count:
+        if all(pattern) and len(exceeds) == head_count:
             return EventualVerdict(EventualKind.ALL_EXCEED, proof, exceed_count=None)
         return EventualVerdict(EventualKind.EXCEEDS_INFINITELY_OFTEN, proof)
-    exceeds = head_exceeds + list(middle_exceeds)
     return EventualVerdict(
         EventualKind.EVENTUALLY_BOUND,
         proof,
@@ -173,29 +160,19 @@ def _analytic_eventual(spec: SequenceSpec):
     """Eventual verdict for a reordered spec, or None when unavailable.
 
     Returns (verdict, pseries thresholds) so the profile can expose the
-    power-sum constants.
+    power-sum constants (p - 1, N). A power sum's head is its prefix and
+    its terms 1/k^p with k < N; every later tail bounds its term.
     """
-    prefix_len = len(spec.prefix)
     kind = spec.tail
     if isinstance(kind, PowerSumTail):
         if kind.exponent == 1:
             # An infinite tail bounds every term, but divergent specs are
             # classified by summability, not by gap analysis.
             return None, None
-        p = kind.exponent
-        guaranteed = p - 1
-        threshold = _pseries_bound_threshold(p)
-        middle = []
-        for k in range(max(kind.start, guaranteed + 1), threshold):
-            n = prefix_len + (k - kind.start) + 1
-            if compare_term_tail(spec, n) is TermTailRelation.TERM_EXCEEDS_TAIL:
-                middle.append(n)
-        for k in range(kind.start, min(guaranteed, threshold - 1) + 1):
-            middle.append(prefix_len + (k - kind.start) + 1)
-        verdict = _region_verdict(
-            spec, prefix_len, "pseries-monotone", (False,), middle
-        )
-        return verdict, (guaranteed, threshold)
+        threshold = _pseries_bound_threshold(kind.exponent)
+        head_count = len(spec.prefix) + max(threshold - kind.start, 0)
+        verdict = _region_verdict(spec, head_count, "pseries-monotone", (False,))
+        return verdict, (kind.exponent - 1, threshold)
     view = self_similar(spec)
     if view is None:
         return None, None
@@ -329,14 +306,18 @@ class Verdict:
     digit_certificate: Optional[CoverageCertificate] = None
 
 
-def _exact_component_count(spec, stabilized_depth) -> Optional[int]:
+def _exact_component_count(spec, stabilized_depth, lower: int = 1) -> Optional[int]:
     """Component count of the stabilized cover, when it can be pinned.
 
     The cover stops splitting after the last gap index, so its component
     count at that depth is the true one. With inexact tails the lower and
     upper fattenings sandwich the count; equality at some nearby depth
-    pins it.
+    pins it. None, with no build, when lower, a proven lower bound on the
+    count, is past COUNT_CAP: the count cannot grow as the fattening
+    widens, so every build would exceed the cap or leave the sandwich open.
     """
+    if lower > COUNT_CAP:
+        return None
     for depth in range(stabilized_depth, stabilized_depth + COUNT_DEPTH_SLACK + 1):
         try:
             cover = build_cn(spec, depth, cap=COUNT_CAP)
@@ -369,13 +350,11 @@ def classify(spec) -> Verdict:
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
-        try:
-            count = build_cn(abs_spec, finite_count, cap=COUNT_CAP).fattened.components
-            lower = upper = count
-        except CapExceeded:
-            # The fold of a finite spec has zero width, and its steps only
-            # add points, so the final count is past the cap.
-            count, lower, upper = None, COUNT_CAP + 1, 2**finite_count
+        count = _exact_component_count(abs_spec, finite_count)
+        # Without a count, the cover was capped: the fold of a finite spec
+        # has zero width and its steps only add points, so the final count
+        # is past the cap.
+        lower, upper = (count, count) if count is not None else (COUNT_CAP + 1, 2**finite_count)
         return replace(
             base,
             kind=VerdictKind.FINITE_UNION,
@@ -404,12 +383,13 @@ def classify(spec) -> Verdict:
         else:
             lower_exp = eventual.exceed_count
             upper_exp = eventual.after
+        lower = 2**lower_exp
         return replace(
             base,
             kind=VerdictKind.FINITE_UNION,
-            component_lower=2**lower_exp,
+            component_lower=lower,
             component_upper=2**upper_exp,
-            component_count=_exact_component_count(reordered, eventual.after),
+            component_count=_exact_component_count(reordered, eventual.after, lower),
         )
 
     if eventual.kind is EventualKind.ALL_EXCEED:

@@ -13,7 +13,8 @@ total().hi is None. geometric_strands is the one reading of a tail as
 geometric strands with a common ratio. Terms are exact Fractions. Tail
 sums are returned as enclosures that are either exact or rigorous
 rational brackets (power sums use the integral test and can be refined
-by summing more terms explicitly).
+by summing more terms explicitly). term_tail_relations compares every
+term with its tail in one pass over the terms.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -700,3 +701,22 @@ def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:
         if relation is not TermTailRelation.INDETERMINATE:
             return relation
     raise IndeterminateComparison(index)
+
+
+def term_tail_relations(spec: SequenceSpec, count: int) -> tuple:
+    """Relations of term n to tail n for n = 1..count (fewer past a finite end).
+
+    One pass from total(), shifting the enclosure down by each term, so an
+    exact spec needs no tail sum per index. An index this bracket leaves
+    open goes to compare_term_tail, whose brackets nest inside it, so every
+    relation and the index of any IndeterminateComparison are its answers.
+    """
+    tail = spec.total()
+    relations = []
+    for index, term in enumerate(itertools.islice(spec.terms(), max(count, 0)), start=1):
+        tail = tail.shift(-term)
+        relation = _compare_once(term, tail)
+        if relation is TermTailRelation.INDETERMINATE:
+            relation = compare_term_tail(spec, index)
+        relations.append(relation)
+    return tuple(relations)

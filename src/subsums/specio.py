@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import as_fraction, format_rational, parse_rational
+from .rational import as_fraction, format_rational
 from .sequences import (
     FiniteTail,
     MergedSpec,
@@ -44,12 +44,6 @@ def _array(value, name: str) -> list:
     return value
 
 
-def _rational(value) -> Fraction:
-    if isinstance(value, str):
-        return parse_rational(value)
-    return as_fraction(value)
-
-
 def _load_tail(data):
     if data is None:
         return FiniteTail()
@@ -57,7 +51,7 @@ def _load_tail(data):
         raise ValueError("tail must be an object")
     kind = data.get("kind")
     if kind == "geometric":
-        return geometric(_rational(data["a"]), _rational(data["rho"])).tail
+        return geometric(as_fraction(data["a"]), as_fraction(data["rho"])).tail
     if kind == "pseries":
         exponent = data["p"]
         if not isinstance(exponent, int) or isinstance(exponent, bool):
@@ -67,8 +61,8 @@ def _load_tail(data):
             raise ValueError("pseries start must be an integer")
         return PowerSumTail(exponent, start)
     if kind == "multigeometric":
-        ratios = tuple(_rational(r) for r in _array(data["ratios"], "ratios"))
-        return MultiGeometricTail(ratios, _rational(data["total"]))
+        ratios = tuple(as_fraction(r) for r in _array(data["ratios"], "ratios"))
+        return MultiGeometricTail(ratios, as_fraction(data["total"]))
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
@@ -94,7 +88,7 @@ def load_spec(data):
     extra = set(data) - {"prefix", "tail", "negated"}
     if extra:
         raise ValueError(f"unexpected spec keys: {sorted(extra)}")
-    prefix = tuple(_rational(value) for value in _array(data.get("prefix", []), "prefix"))
+    prefix = tuple(as_fraction(value) for value in _array(data.get("prefix", []), "prefix"))
     tail = _load_tail(data.get("tail"))
     negated = data.get("negated", False)
     if not isinstance(negated, bool):

@@ -1,5 +1,6 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
 import sys
+import time
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -155,7 +156,7 @@ def test_indeterminate_relation_outside_the_rules_leaves_undetermined():
 
 @pytest.mark.parametrize("name", ["gn", "thirds", "halves", "ratios-2-5-3-5"])
 def test_classify_compares_no_index_pointwise(monkeypatch, name):
-    module = sys.modules["subsums.classify"]
+    module = sys.modules["subsums.sequences"]
     calls = []
     original = module.compare_term_tail
 
@@ -176,7 +177,7 @@ def test_classify_compares_no_index_pointwise(monkeypatch, name):
 def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
     # The eventual analysis reads the merge through its self-similar view:
     # one walk to find the view, no pointwise comparison on the heap.
-    module = sys.modules["subsums.classify"]
+    module = sys.modules["subsums.sequences"]
     walks = []
     compared = []
     walk = S.MergeTail.walk
@@ -322,6 +323,42 @@ def test_classify_finite_spec_past_count_cap():
     assert verdict.component_count is None
     assert verdict.component_lower == COUNT_CAP + 1
     assert verdict.component_upper == 2**19
+
+
+def test_classify_pins_no_count_past_the_lower_bound(monkeypatch):
+    # 1/k^20 exceeds its tail for k <= 19, so the count is at least 2^19,
+    # past the cap: no cover is built, and the verdict keeps its bounds.
+    module = sys.modules["subsums.classify"]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_cn was called")
+
+    monkeypatch.setattr(module, "build_cn", no_build)
+    verdict = S.classify(S.power_sum(20))
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.summability is S.SummabilityClass.ABSOLUTELY_SUMMABLE
+    assert (verdict.certificate, verdict.strength, verdict.digit_certificate) == (None,) * 3
+    assert (verdict.hull_lo, verdict.hull_hi, verdict.hull_exact) == (F(0), F(20, 19), False)
+    assert (verdict.component_lower, verdict.component_upper) == (2**19, 2**34)
+    assert verdict.component_count is None
+    assert verdict.translation == 0
+    assert not verdict.known_infinitely_many
+    assert verdict.profile == S.TermTailProfile(
+        S.EventualVerdict(EventualKind.EVENTUALLY_BOUND, "pseries-monotone", 27, 27),
+        S.power_sum(20),
+        19,
+        34,
+    )
+
+
+def test_classify_long_geometric_head_in_budget():
+    # The self-similar view has a prefix of 462 terms, compared with their
+    # tails in one pass instead of one prefix sum per index.
+    started = time.perf_counter()
+    verdict = S.classify(S.multi_geometric((F(1, 1000), F(1, 2000)), 1))
+    assert time.perf_counter() - started < 5
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.component_count == 1
 
 
 def test_classify_undetermined_in_open_region():

@@ -95,6 +95,30 @@ def test_classify_reports_indeterminate_relation(capsys, tmp_path):
     assert payload["profile_prefix"] == ["exceed", "indeterminate"]
 
 
+def test_classify_large_power_sum_stays_small(tmp_path):
+    # 1/k^80 has at least 2^79 components, so no cover is folded to count
+    # them; under a 512 MiB address space the command still answers.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is unavailable")
+    limit = 512 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "p80.json"
+    path.write_text(json.dumps({"tail": {"kind": "pseries", "p": 80}}))
+    done = subprocess.run(
+        [sys.executable, "-m", "subsums.cli", "classify", "--seq", str(path)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120, preexec_fn=cap_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["kind"] == "FiniteUnion"
+    assert payload["component_count"] is None
+
+
 def test_cn_text_round_trip(capsys):
     code, out, _ = run(capsys, "cn", "--seq", "thirds", "--depth", "2")
     assert code == 0

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subsums as S
@@ -342,6 +342,46 @@ def test_merge_walk_matches_heapq_reference(parts, skip):
             assert wide.lo <= narrow.lo <= narrow.hi <= wide.hi
         assert brackets[-1].hi >= sum(reference[skip:], start=F(0))
         assert brackets[-1].width < brackets[0].width
+
+
+_prefixes = st.lists(_values, max_size=3).map(tuple)
+_power_sums = st.builds(S.power_sum, st.sampled_from((2, 3)), st.integers(1, 4))
+
+
+def _merge(parts):
+    return S.SequenceSpec((), S.MergeTail(tuple(S.nonincreasing_reorder(p) for p in parts)))
+
+
+_relation_specs = st.one_of(
+    st.builds(S.geometric, _values, _ratios, _prefixes),
+    st.builds(S.multi_geometric, st.lists(_ratios, min_size=2, max_size=3), _values, _prefixes),
+    st.builds(S.power_sum, st.sampled_from((2, 3, 4)), st.integers(1, 4), _prefixes),
+    st.builds(S.finite, st.lists(_values, min_size=1, max_size=4)),
+    st.builds(lambda ps, rest: _merge([ps, *rest]), _power_sums, st.lists(_merge_parts, max_size=2)),
+    st.lists(_merge_parts, min_size=2, max_size=3).map(_merge),
+    st.just(S.power_sum(1)),
+)
+
+
+def _relations_or_stuck(relate):
+    """The relations, or the index of the IndeterminateComparison raised."""
+    try:
+        return relate()
+    except S.IndeterminateComparison as stuck:
+        return stuck.index
+
+
+@settings(max_examples=80, deadline=None)
+@given(_relation_specs, st.integers(-2, 12))
+@example(S.power_sum(2, prefix=(F(16449340668482264365, 10**19),)), 3)
+def test_term_tail_relations_match_pointwise_comparisons(spec, count):
+    # A count <= 0 gives (); a finite spec stops at its last term.
+    length = spec.term_count()
+    last = count if length is None else min(count, length)
+    expected = _relations_or_stuck(
+        lambda: tuple(S.compare_term_tail(spec, n) for n in range(1, last + 1))
+    )
+    assert _relations_or_stuck(lambda: S.term_tail_relations(spec, count)) == expected
 
 
 def assert_view_matches(spec):
