@@ -45,15 +45,12 @@ from .intervals import (
     IntervalUnion,
     from_text,
     is_subset,
-    normalize,
     reflect,
     to_text,
-    union,
 )
 from .oracle import (
     DEPTH_LIMIT,
     MembershipResult,
-    SubsetSumTable,
     membership_probe,
     oracle_cn,
     subset_sums,
@@ -84,7 +81,6 @@ from .sequences import (
     power_sum,
     self_similar,
     sign_split,
-    summability_class,
     term_tail_relations,
 )
 from .specio import PRESETS, dump_spec, load_spec

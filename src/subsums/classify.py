@@ -20,10 +20,10 @@ that fires gives the verdict:
    system are injective mod 1, as digit_coverage_test proves).
 
 Rules 3-6 read the term/tail profile of the non-increasing reordering.
-Strand merges are read through self_similar: the same terms as a prefix
-followed by a multi-geometric tail. The eventual verdict takes its
-periodic pattern from the proportions and its head relations from one
-term_tail_relations pass, against closed-form tail sums on the view.
+The profile reads a strand merge once, through its self-similar view:
+the same terms as a prefix and a multi-geometric tail. The eventual
+verdict, the relations, the component count and one_point_components
+work on the view; rules 5 and 6 read the reordering's own shape.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -32,7 +32,7 @@ Anything not certified is reported Undetermined, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -94,21 +94,23 @@ class TermTailProfile:
 
     eventual is the analytic verdict on every index, which is all classify
     reads; comparisons(count) computes pointwise relations on demand.
+    view, the same terms in the same order, is the self-similar view of
+    reordered when self_similar finds one, else reordered; derived, it
+    takes no part in repr or equality.
     """
 
     eventual: Optional[EventualVerdict]
     reordered: SequenceSpec
+    view: SequenceSpec = field(repr=False, compare=False)
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
 
     def comparisons(self, count: int) -> tuple:
         """Relations of term n to tail n for n = 1..count: term_tail_relations.
 
-        Fewer when the reordering is a shorter finite spec. A strand merge
-        is compared on its self-similar view, the same terms with
-        closed-form tail sums, so the merge is walked once, not per term.
+        Read on the view; fewer when the reordering is a shorter finite spec.
         """
-        return term_tail_relations(self_similar(self.reordered) or self.reordered, count)
+        return term_tail_relations(self.view, count)
 
     @property
     def gaps_recur(self) -> bool:
@@ -156,28 +158,28 @@ def _region_verdict(
     )
 
 
-def _analytic_eventual(spec: SequenceSpec):
-    """Eventual verdict for a reordered spec, or None when unavailable.
+def _analytic_eventual(view: SequenceSpec):
+    """Eventual verdict for a profile's view, or None when unavailable.
 
     Returns (verdict, pseries thresholds) so the profile can expose the
     power-sum constants (p - 1, N). A power sum's head is its prefix and
-    its terms 1/k^p with k < N; every later tail bounds its term.
+    its terms 1/k^p with k < N; every later tail bounds its term. A
+    multi-geometric view's head is its prefix; any other view has none.
     """
-    kind = spec.tail
+    kind = view.tail
     if isinstance(kind, PowerSumTail):
         if kind.exponent == 1:
             # An infinite tail bounds every term, but divergent specs are
             # classified by summability, not by gap analysis.
             return None, None
         threshold = _pseries_bound_threshold(kind.exponent)
-        head_count = len(spec.prefix) + max(threshold - kind.start, 0)
-        verdict = _region_verdict(spec, head_count, "pseries-monotone", (False,))
+        head_count = len(view.prefix) + max(threshold - kind.start, 0)
+        verdict = _region_verdict(view, head_count, "pseries-monotone", (False,))
         return verdict, (kind.exponent - 1, threshold)
-    view = self_similar(spec)
-    if view is None:
+    if not isinstance(kind, MultiGeometricTail):
         return None, None
     # r > 1/2 says x_i > X_i; with one proportion, the ratio 1 - r < 1/2.
-    pattern = [r > HALF for r in view.tail.ratios]
+    pattern = [r > HALF for r in kind.ratios]
     verdict = _region_verdict(view, len(view.prefix), "multigeometric-period", pattern)
     return verdict, None
 
@@ -186,14 +188,15 @@ def term_tail_profile(spec) -> TermTailProfile:
     """Term/tail profile of a positive spec or merge.
 
     The input goes through positive_spec (ValueError when a merge has a
-    negative part) and is reordered non-increasingly. Only the indices the
-    eventual verdict needs are compared here; TermTailProfile.comparisons
-    computes the pointwise relations on demand.
+    negative part), is reordered non-increasingly, and its view is found
+    once. Only the indices the eventual verdict needs are compared here;
+    TermTailProfile.comparisons computes the pointwise relations on demand.
     """
     reordered = nonincreasing_reorder(positive_spec(spec))
-    eventual, thresholds = _analytic_eventual(reordered)
+    view = self_similar(reordered) or reordered
+    eventual, thresholds = _analytic_eventual(view)
     exceed_through, bound_from = thresholds or (None, None)
-    return TermTailProfile(eventual, reordered, exceed_through, bound_from)
+    return TermTailProfile(eventual, reordered, view, exceed_through, bound_from)
 
 
 # --- digit certificates --------------------------------------------------------
@@ -389,7 +392,7 @@ def classify(spec) -> Verdict:
             kind=VerdictKind.FINITE_UNION,
             component_lower=lower,
             component_upper=2**upper_exp,
-            component_count=_exact_component_count(reordered, eventual.after, lower),
+            component_count=_exact_component_count(profile.view, eventual.after, lower),
         )
 
     if eventual.kind is EventualKind.ALL_EXCEED:
@@ -433,7 +436,7 @@ def one_point_components(spec, depth: int) -> tuple:
     profile = term_tail_profile(spec)
     if not profile.gaps_recur:
         raise NotApplicable("no recurring gap pattern was established")
-    cover = build_cn(profile.reordered, depth)
+    cover = build_cn(profile.view, depth)
     if not cover.tail_exact:
         raise NotApplicable("cover endpoints need exact tails")
     union = cover.fattened

@@ -22,11 +22,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from .errors import CapExceeded, DivergentTail
 from .intervals import IntervalUnion
+from .rational import over_common_denominator
 from .sequences import SequenceSpec, TailEnclosure, positive_spec
 
 DEFAULT_CAP = 1 << 22
@@ -73,12 +73,6 @@ def _positive(spec, depth: int, cap: int) -> SequenceSpec:
     return positive_spec(spec)
 
 
-def _numerators(values: list) -> tuple:
-    """The lcm of the values' denominators, and their numerators over it."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def subset_sum_starts(spec, depth: int, cap: int = DEFAULT_CAP) -> tuple:
     """Sorted distinct sums of subsets of the first `depth` terms.
 
@@ -88,7 +82,7 @@ def subset_sum_starts(spec, depth: int, cap: int = DEFAULT_CAP) -> tuple:
     one does; a step refused before it runs is one that would exceed it).
     """
     spec = _positive(spec, depth, cap)
-    den, numerators = _numerators(list(itertools.islice(spec.terms(), depth)))
+    den, numerators = over_common_denominator(list(itertools.islice(spec.terms(), depth)))
     sums, _ = _fold(numerators, 0, cap)
     return tuple(Fraction(s, den) for s in sums)
 
@@ -102,7 +96,7 @@ def _fold_step(lo: list, hi: list, x: int, head: int, tail: int) -> tuple:
     each copied component stays a component of the result. The first head
     components end below x, those from index tail on start past
     hi[-1] - x. The rest is a two-pointer merge that coalesces overlapping
-    or abutting pairs, the rule normalize uses.
+    or abutting pairs, the rule the IntervalUnion constructor uses.
     """
     n = len(lo)
     out_lo, out_hi = lo[:head], hi[:head]
@@ -157,11 +151,11 @@ def build_cn(spec, depth: int, cap: int = DEFAULT_CAP) -> CnResult:
     components.
     """
     spec = _positive(spec, depth, cap)
-    if spec.total().hi is None:
+    tail = spec.tail_sum(depth)
+    if tail.hi is None:
         raise DivergentTail("the sequence is not summable")
     terms = list(itertools.islice(spec.terms(), depth))
-    tail = spec.tail_sum(depth)
-    den, (*numerators, low, high) = _numerators(terms + [tail.lo, tail.hi])
+    den, (*numerators, low, high) = over_common_denominator(terms + [tail.lo, tail.hi])
 
     def cover(width: int) -> IntervalUnion:
         return IntervalUnion.from_numerators(den, *_fold(numerators, width, cap))

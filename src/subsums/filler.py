@@ -159,13 +159,11 @@ def fill(
 
     runs = []
     gaps = []
-    achieved = Fraction(0)
     gap = target
     next_free = 1
     while gap >= eps and len(runs) < max_rounds:
         start = _first_index_fitting(spec, next_free, gap)
         end, run_sum = _longest_run(spec, start, gap)
-        achieved += run_sum
         gap -= run_sum
         runs.append((start, end))
         gaps.append(gap)
@@ -175,7 +173,7 @@ def fill(
     return FillResult(
         runs=tuple(runs),
         gaps=tuple(gaps),
-        achieved=achieved,
+        achieved=target - gap,
         target=target,
         hit_round_limit=gap >= eps,
     )

@@ -1,7 +1,8 @@
 """Finite unions of closed rational intervals.
 
 Unions are kept normalized: intervals sorted by left endpoint, pairwise
-disjoint with strict gaps (overlapping or abutting intervals are merged).
+disjoint with strict gaps (overlapping or abutting intervals are merged);
+the IntervalUnion constructor is the one place that normalizes.
 Degenerate one-point intervals are allowed. A union is stored as integer
 numerators over one denominator, in lowest terms, so equal unions have
 equal fields; every query and the text output work on the numerators, and
@@ -18,10 +19,9 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv
-from typing import Iterable
 
 from .errors import EmptyUnion
-from .rational import as_fraction
+from .rational import as_fraction, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class IntervalUnion:
     """Normalized union: components [lo[i]/den, hi[i]/den].
 
     IntervalUnion(intervals) takes any ClosedIntervals and normalizes
-    them, as normalize() and union() do. from_numerators() is the
-    constructor for callers that already hold normalized numerators (the
-    cover fold and the oracle).
+    them. from_numerators() is the constructor for callers that already
+    hold normalized numerators (the cover fold and the oracle).
     """
 
     den: int
@@ -61,10 +60,12 @@ class IntervalUnion:
 
     def __init__(self, intervals):
         """Sort, merge overlapping or abutting intervals, and dedupe."""
-        den, lefts, rights = _numerators(intervals)
+        den, ends = over_common_denominator(
+            [end for iv in intervals for end in (iv.left, iv.right)]
+        )
         lo: list = []
         hi: list = []
-        for a, b in sorted(zip(lefts, rights)):
+        for a, b in sorted(zip(ends[0::2], ends[1::2])):
             if hi and a <= hi[-1]:
                 if b > hi[-1]:
                     hi[-1] = b
@@ -136,25 +137,7 @@ class IntervalUnion:
         return idx >= 0 and -(-right * self.den // den) <= self.hi[idx]
 
 
-def _numerators(intervals: Iterable[ClosedInterval]) -> tuple:
-    """The lcm of the endpoints' denominators, and the left and right
-    endpoints' numerators over it."""
-    ends = [end for iv in intervals for end in (iv.left, iv.right)]
-    den = lcm(*(end.denominator for end in ends))
-    nums = [end.numerator * (den // end.denominator) for end in ends]
-    return den, nums[0::2], nums[1::2]
-
-
 EMPTY_UNION = IntervalUnion(())
-
-
-def normalize(intervals: Iterable[ClosedInterval]) -> IntervalUnion:
-    """Sort, merge overlapping or abutting intervals, and dedupe."""
-    return IntervalUnion(intervals)
-
-
-def union(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
-    return normalize(tuple(a) + tuple(b))
 
 
 def reflect(u: IntervalUnion, total) -> IntervalUnion:
@@ -211,4 +194,4 @@ def from_text(text: str) -> IntervalUnion:
         if len(parts) != 2:
             raise ValueError(f"expected 'left right', got {line!r}")
         raw.append(ClosedInterval(as_fraction(parts[0]), as_fraction(parts[1])))
-    return normalize(raw)
+    return IntervalUnion(raw)

@@ -3,37 +3,29 @@
 subset_sums and oracle_cn enumerate the subset sums of a truncation one
 mask at a time: the masks are visited in Gray-code order, so each sum is
 the previous one plus or minus one term, on integer numerators over the
-terms' common denominator. The package uses that enumeration nowhere else:
-build_cn gets its covers and its subset sums from the component fold.
-oracle_cn also sorts the sums and merges the intervals [s, s + X_n]
-itself, without the interval normalization. So they can cross-check
-build_cn and the signed reduction. membership_probe is the exception: a
-third algorithm, independent of both, that follows only the residuals of
-one point through a pruned search. The depth limit keeps runs at desk
-scale.
+terms' common denominator (only that conversion is shared with the
+fold). subset_sums returns the distinct sums as a sorted tuple. The
+package uses that enumeration nowhere else: build_cn gets its covers and
+its subset sums from the component fold. oracle_cn also sorts the sums
+and merges the intervals [s, s + X_n] itself, without the interval
+normalization. So they can cross-check build_cn and the signed
+reduction. membership_probe is the exception: a third algorithm,
+independent of both, that follows only the residuals of one point
+through a pruned search. The depth limit keeps runs at desk scale.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import DepthLimit, DivergentTail
 from .intervals import IntervalUnion
-from .rational import as_fraction
+from .rational import as_fraction, over_common_denominator
 from .sequences import positive_spec
 
 DEPTH_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class SubsetSumTable:
-    """All subset sums of the first n terms, sorted and deduplicated."""
-
-    n: int
-    sums: tuple
 
 
 def check_depth(n: int) -> None:
@@ -67,16 +59,14 @@ def _sorted_sums(spec, n: int, den: int = 1) -> tuple:
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_depth(n)
-    terms = list(itertools.islice(spec.terms(), n))
-    den = lcm(den, *(t.denominator for t in terms))
-    numerators = [t.numerator * (den // t.denominator) for t in terms]
+    den, numerators = over_common_denominator(list(itertools.islice(spec.terms(), n)), den)
     return den, sorted(set(_subset_sum_numerators(numerators)))
 
 
-def subset_sums(spec, n: int) -> SubsetSumTable:
-    """Enumerate every subset sum of the first n terms (signed allowed)."""
+def subset_sums(spec, n: int) -> tuple:
+    """Every distinct subset sum of the first n terms (signed allowed), sorted."""
     den, sums = _sorted_sums(spec, n)
-    return SubsetSumTable(n, tuple(Fraction(s, den) for s in sums))
+    return tuple(Fraction(s, den) for s in sums)
 
 
 def oracle_cn(spec, n: int) -> IntervalUnion:

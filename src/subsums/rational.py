@@ -7,6 +7,7 @@ value ever silently loses exactness.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def as_fraction(value) -> Fraction:
@@ -28,6 +29,13 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def over_common_denominator(values, den: int = 1) -> tuple:
+    """(lcm of den and the denominators, numerators over it) of a
+    sequence of Fractions."""
+    den = lcm(den, *(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def format_rational(value: Fraction) -> str:

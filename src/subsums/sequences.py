@@ -14,13 +14,14 @@ geometric strands with a common ratio. Terms are exact Fractions. Tail
 sums are returned as enclosures that are either exact or rigorous
 rational brackets (power sums use the integral test and can be refined
 by summing more terms explicitly). term_tail_relations compares every
-term with its tail in one pass over the terms.
+term with its tail: in one pass over the terms when the total is exact,
+index by index through compare_term_tail when it is not.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
 only. A sign is stored in one place: a signed sequence is a MergedSpec of
 positive parts and negative parts, the latter held as specs of their
-absolute values. sign_split reads the two, and summability_class their
+absolute values. sign_split reads the two, and summability_of their
 sums.
 """
 from __future__ import annotations
@@ -74,10 +75,6 @@ class TailEnclosure:
     def point(cls, value) -> TailEnclosure:
         value = as_fraction(value)
         return cls(value, value)
-
-    @classmethod
-    def plus_infinity(cls) -> TailEnclosure:
-        return cls(ZERO, None)
 
     @property
     def exact(self) -> bool:
@@ -177,7 +174,7 @@ class PowerSumTail(_Tail):
             raise UnsupportedExponent(f"exponent must be an integer, got {self.exponent!r}")
         if self.exponent < 1:
             raise UnsupportedExponent("exponent must be at least 1")
-        if not isinstance(self.start, int) or self.start < 1:
+        if isinstance(self.start, bool) or not isinstance(self.start, int) or self.start < 1:
             raise ValueError("start must be a positive integer")
 
     def term(self, index: int) -> Fraction:
@@ -193,7 +190,7 @@ class PowerSumTail(_Tail):
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         if self.exponent == 1:
-            return TailEnclosure.plus_infinity()
+            return TailEnclosure(ZERO, None)
         p = self.exponent
         # The integral test needs a positive base index; sum one explicit
         # term first when the tail starts at k = 1.
@@ -664,11 +661,6 @@ def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClas
     return SummabilityClass.CONDITIONALLY_SUMMABLE
 
 
-def summability_class(spec) -> SummabilityClass:
-    _, _, plus, minus = sign_split(spec)
-    return summability_of(plus, minus)
-
-
 # --- term/tail comparisons ----------------------------------------------------
 
 
@@ -706,17 +698,18 @@ def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:
 def term_tail_relations(spec: SequenceSpec, count: int) -> tuple:
     """Relations of term n to tail n for n = 1..count (fewer past a finite end).
 
-    One pass from total(), shifting the enclosure down by each term, so an
-    exact spec needs no tail sum per index. An index this bracket leaves
-    open goes to compare_term_tail, whose brackets nest inside it, so every
-    relation and the index of any IndeterminateComparison are its answers.
+    An exact total, or a divergent one, takes one pass, shifting the
+    enclosure down by each term; such a bracket decides every index. An
+    inexact total comes from an endless power-sum tail, and shifting it
+    settles nothing, so each index goes to compare_term_tail. Its refined
+    brackets nest inside the shifted one, so no relation and no
+    IndeterminateComparison index depends on the path.
     """
     tail = spec.total()
+    if tail.finite and not tail.exact:
+        return tuple(compare_term_tail(spec, index) for index in range(1, count + 1))
     relations = []
-    for index, term in enumerate(itertools.islice(spec.terms(), max(count, 0)), start=1):
+    for term in itertools.islice(spec.terms(), max(count, 0)):
         tail = tail.shift(-term)
-        relation = _compare_once(term, tail)
-        if relation is TermTailRelation.INDETERMINATE:
-            relation = compare_term_tail(spec, index)
-        relations.append(relation)
+        relations.append(_compare_once(term, tail))
     return tuple(relations)

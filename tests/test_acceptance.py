@@ -49,7 +49,7 @@ def test_acceptance_01_thirds_cantor(capsys):
         result = S.build_cn(spec, 2)
         assert result.tail_exact
         assert result.left_endpoints == (F(0), F(1, 9), F(1, 3), F(4, 9))
-        expected = S.normalize([
+        expected = S.IntervalUnion([
             S.ClosedInterval(F(0), F(1, 18)),
             S.ClosedInterval(F(1, 9), F(1, 6)),
             S.ClosedInterval(F(1, 3), F(7, 18)),
@@ -65,7 +65,7 @@ def test_acceptance_01_thirds_cantor(capsys):
 def test_acceptance_02_halves_full_interval(capsys):
     with _Budget(5):
         spec = S.PRESETS["halves"]
-        unit = S.normalize([S.ClosedInterval(F(0), F(1))])
+        unit = S.IntervalUnion([S.ClosedInterval(F(0), F(1))])
         for n in range(15):
             assert S.build_cn(spec, n).fattened == unit
 
@@ -79,7 +79,7 @@ def test_acceptance_02_halves_full_interval(capsys):
 def test_acceptance_03_prefixed_halves_two_pieces(capsys):
     with _Budget(5):
         spec = S.geometric(F(1, 2), F(1, 2), prefix=(F(2),))
-        expected = S.normalize([
+        expected = S.IntervalUnion([
             S.ClosedInterval(F(0), F(1)),
             S.ClosedInterval(F(2), F(3)),
         ])
@@ -126,7 +126,7 @@ def test_acceptance_05_gn_cantorval(capsys):
         assert verdict.kind is S.VerdictKind.SYMMETRIC_CANTORVAL
         assert verdict.strength == "Proven"
 
-        core = S.normalize([S.ClosedInterval(F(3, 4), F(1))])
+        core = S.IntervalUnion([S.ClosedInterval(F(3, 4), F(1))])
         for n in range(17):
             assert S.is_subset(core, S.build_cn(spec, n).fattened)
     _report(capsys, 5, "gn-cantorval")
@@ -260,8 +260,8 @@ def test_acceptance_11_signed_split(capsys):
             S.geometric(F(1, 4), F(1, 4)),
             S.geometric(F(1, 2), F(1, 4)),
         ))
-        abs_sums = S.subset_sums(abs_spec, n).sums
-        assert set(table.sums) == {s + neg_total for s in abs_sums}
+        abs_sums = S.subset_sums(abs_spec, n)
+        assert set(table) == {s + neg_total for s in abs_sums}
     _report(capsys, 11, "signed-split")
 
 

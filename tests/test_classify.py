@@ -5,6 +5,8 @@ from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsums as S
 from subsums.classify import COUNT_CAP, EventualKind
@@ -171,12 +173,17 @@ def test_classify_compares_no_index_pointwise(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "spec",
-    [S.PRESETS["kenyon"], S.multi_geometric((F(3, 22), F(17, 22)), 1)],
-    ids=["kenyon", "cell-3-22-17-22"],
+    [
+        S.PRESETS["kenyon"],
+        S.multi_geometric((F(3, 22), F(17, 22)), 1),
+        S.multi_geometric((F(1, 22), F(1, 11)), 1),
+    ],
+    ids=["kenyon", "cell-3-22-17-22", "mg-1-22-1-11"],
 )
 def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
-    # The eventual analysis reads the merge through its self-similar view:
-    # one walk to find the view, no pointwise comparison on the heap.
+    # The eventual analysis, the component count and the relations read
+    # the merge through its self-similar view: one walk to find the view,
+    # no pointwise comparison on the heap, and no cover built on it.
     module = sys.modules["subsums.sequences"]
     walks = []
     compared = []
@@ -346,8 +353,65 @@ def test_classify_pins_no_count_past_the_lower_bound(monkeypatch):
     assert verdict.profile == S.TermTailProfile(
         S.EventualVerdict(EventualKind.EVENTUALLY_BOUND, "pseries-monotone", 27, 27),
         S.power_sum(20),
+        S.power_sum(20),
         19,
         34,
+    )
+
+
+_fractions = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+_strand_merges = st.one_of(
+    st.builds(
+        S.multi_geometric,
+        st.lists(_fractions, min_size=2, max_size=3),
+        st.just(F(1)),
+        st.lists(_fractions.map(lambda v: 2 * v), max_size=2),
+    ).filter(lambda spec: not spec.tail.nonincreasing),
+    st.builds(
+        lambda ratio, heads: S.combine_parts([S.geometric(h, ratio) for h in heads]),
+        _fractions,
+        st.lists(_fractions, min_size=2, max_size=3),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(_strand_merges)
+def test_profile_view_builds_the_reordering_covers(spec):
+    # The view has the reordering's terms in the same order, and its
+    # closed-form tail sums equal the merge's, so the covers and relations
+    # classify reads on it are the reordering's.
+    profile = S.term_tail_profile(spec)
+    assert isinstance(profile.reordered.tail, S.MergeTail)
+    assert isinstance(profile.view.tail, S.MultiGeometricTail)
+    for depth in range(13):
+        on_view = S.build_cn(profile.view, depth)
+        on_merge = S.build_cn(profile.reordered, depth)
+        assert (on_view.fattened, on_view.inner, on_view.tail_used) == (
+            on_merge.fattened, on_merge.inner, on_merge.tail_used
+        )
+    assert S.term_tail_relations(profile.view, 24) == S.term_tail_relations(
+        profile.reordered, 24
+    )
+
+
+def test_classify_large_power_sum_in_budget():
+    # An inexact total is compared index by index: shifting a power sum's
+    # bracket settles nothing and grows denominators near lcm(1..n)^p.
+    start = time.perf_counter()
+    verdict = S.classify(S.power_sum(250))
+    assert time.perf_counter() - start < 1.5
+    eventual = S.EventualVerdict(EventualKind.EVENTUALLY_BOUND, "pseries-monotone", 359, 359)
+    assert verdict == S.Verdict(
+        S.VerdictKind.FINITE_UNION,
+        S.SummabilityClass.ABSOLUTELY_SUMMABLE,
+        hull_lo=F(0),
+        hull_hi=F(250, 249),
+        hull_exact=False,
+        component_lower=2**249,
+        component_upper=2**439,
+        translation=F(0),
+        profile=S.TermTailProfile(eventual, S.power_sum(250), S.power_sum(250), 249, 439),
     )
 
 

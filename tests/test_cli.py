@@ -166,7 +166,7 @@ def test_oracle_agreement(capsys):
 
 
 def test_oracle_disagreement_exit(capsys, monkeypatch):
-    bogus = S.normalize([S.ClosedInterval(F(0), F(1, 999))])
+    bogus = S.IntervalUnion([S.ClosedInterval(F(0), F(1, 999))])
     monkeypatch.setattr(cli, "oracle_cn", lambda spec, n: bogus)
     code, out, _ = run(capsys, "oracle", "--seq", "thirds", "--depth", "2")
     assert code == 3
@@ -507,7 +507,7 @@ def test_json_interval_list_matches_json_dumps(union):
     assert written == json.dumps({"intervals": _pairs(union)}, indent=2)
 
 
-def test_classify_walks_a_strand_merge_at_most_twice(capsys, monkeypatch):
+def test_classify_walks_a_strand_merge_once(capsys, monkeypatch):
     walks = []
     walk = S.MergeTail.walk
 
@@ -517,7 +517,7 @@ def test_classify_walks_a_strand_merge_at_most_twice(capsys, monkeypatch):
 
     monkeypatch.setattr(S.MergeTail, "walk", counted_walk)
     assert run(capsys, "classify", "--seq", "kenyon")[0] == 0
-    assert 1 <= len(walks) <= 2
+    assert len(walks) == 1
 
 
 def _geo(a, rho, prefix=(), negated=False):

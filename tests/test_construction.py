@@ -14,7 +14,7 @@ def iv(a, b):
 
 
 def union_of(*pairs):
-    return S.normalize(iv(a, b) for a, b in pairs)
+    return S.IntervalUnion(iv(a, b) for a, b in pairs)
 
 
 def test_thirds_c2_listing():
@@ -155,7 +155,7 @@ def test_left_endpoints_are_subset_sum_starts():
     for name in ("gn", "halves"):
         spec = S.PRESETS[name]
         for depth in (0, 3, 8):
-            sums = S.subset_sums(spec, depth).sums
+            sums = S.subset_sums(spec, depth)
             assert S.build_cn(spec, depth).left_endpoints == sums
             assert S.subset_sum_starts(spec, depth) == sums
     merged = S.MergedSpec(
@@ -163,12 +163,12 @@ def test_left_endpoints_are_subset_sum_starts():
     )
     reordered = S.sign_split(merged)[0]
     for depth in (0, 3, 7):
-        sums = S.subset_sums(reordered, depth).sums
+        sums = S.subset_sums(reordered, depth)
         assert S.build_cn(merged, depth).left_endpoints == sums
         assert S.subset_sum_starts(merged, depth) == sums
     # No tail is formed, so divergent specs have subset sums too.
     harmonic = S.PRESETS["harmonic"]
-    assert S.subset_sum_starts(harmonic, 6) == S.subset_sums(harmonic, 6).sums
+    assert S.subset_sum_starts(harmonic, 6) == S.subset_sums(harmonic, 6)
 
 
 def test_positive_merge_cover_is_that_of_its_reordering():
@@ -203,7 +203,7 @@ _specs = st.builds(S.SequenceSpec, st.lists(_values, max_size=3).map(tuple), _ta
 def test_fold_matches_enumeration(spec, depth, cap):
     result = S.build_cn(spec, depth)
     assert result.fattened == S.oracle_cn(spec, depth)
-    sums = S.subset_sums(spec, depth).sums
+    sums = S.subset_sums(spec, depth)
     assert result.left_endpoints == sums
     if len(sums) > cap:
         with pytest.raises(S.CapExceeded):
@@ -214,7 +214,7 @@ def test_fold_matches_enumeration(spec, depth, cap):
     if tail.exact:
         assert result.inner is None
     else:
-        assert result.inner == S.normalize(S.ClosedInterval(s, s + tail.lo) for s in sums)
+        assert result.inner == S.IntervalUnion(S.ClosedInterval(s, s + tail.lo) for s in sums)
         assert S.is_subset(result.inner, result.fattened)
     assert S.is_subset(S.build_cn(spec, depth + 1).fattened, result.fattened)
 
@@ -259,7 +259,7 @@ class AffineMap:
         return S.ClosedInterval(min(a, b), max(a, b))
 
     def apply_union(self, u):
-        return S.normalize(self.apply_interval(piece) for piece in u)
+        return S.IntervalUnion(self.apply_interval(piece) for piece in u)
 
 
 def ifs_maps(spec):
@@ -327,7 +327,7 @@ def test_word_interval_examples():
 def test_word_intervals_tile_the_cover():
     spec = S.PRESETS["gn"]
     words = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    tiled = S.normalize(word_interval(spec, w) for w in words)
+    tiled = S.IntervalUnion(word_interval(spec, w) for w in words)
     assert tiled == S.build_cn(spec, 3).fattened
 
 
@@ -345,7 +345,7 @@ def test_ifs_maps_tile_even_covers():
     maps = ifs_maps(spec)
     for k in (0, 1, 2):
         base = S.build_cn(spec, 2 * k).fattened
-        image = S.normalize(
+        image = S.IntervalUnion(
             piece for m in maps for piece in m.apply_union(base)
         )
         assert image == S.build_cn(spec, 2 * k + 2).fattened

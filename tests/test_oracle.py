@@ -13,28 +13,27 @@ from subsums.sequences import positive_spec
 
 def test_subset_sums_thirds():
     table = S.subset_sums(S.PRESETS["thirds"], 2)
-    assert table.n == 2
-    assert table.sums == (F(0), F(1, 9), F(1, 3), F(4, 9))
+    assert table == (F(0), F(1, 9), F(1, 3), F(4, 9))
 
 
 def test_subset_sums_halves_collide():
     table = S.subset_sums(S.PRESETS["halves"], 2)
     # 1/2 = 1/4 + 1/4 never happens here, but dyadic collisions do
     # appear at depth 3: 1/8 + 1/4 + 1/2 has no duplicate partner yet
-    assert table.sums == (F(0), F(1, 4), F(1, 2), F(3, 4))
-    assert len(S.subset_sums(S.PRESETS["halves"], 3).sums) == 8
+    assert table == (F(0), F(1, 4), F(1, 2), F(3, 4))
+    assert len(S.subset_sums(S.PRESETS["halves"], 3)) == 8
 
 
 def test_subset_sums_gn():
     table = S.subset_sums(S.PRESETS["gn"], 2)
-    assert table.sums == (F(0), F(1, 2), F(3, 4), F(5, 4))
+    assert table == (F(0), F(1, 2), F(3, 4), F(5, 4))
 
 
 def test_subset_sums_counts_distinct():
     # bigeometric terms are rationally independent enough at depth 6
     table = S.subset_sums(S.PRESETS["ratios-2-5-3-5"], 6)
-    assert len(table.sums) == 64
-    assert table.sums == tuple(sorted(table.sums))
+    assert len(table) == 64
+    assert table == tuple(sorted(table))
 
 
 def test_subset_sums_reflection_closure():
@@ -43,7 +42,7 @@ def test_subset_sums_reflection_closure():
         for n in (1, 2, 4, 6):
             table = S.subset_sums(spec, n)
             partial = sum((spec.term(k) for k in range(1, n + 1)), F(0))
-            assert set(table.sums) == {partial - s for s in table.sums}
+            assert set(table) == {partial - s for s in table}
 
 
 def test_subset_sums_signed_translation():
@@ -60,7 +59,7 @@ def test_subset_sums_signed_translation():
         S.geometric(F(1, 2), F(1, 4)),
     ))
     abs_table = S.subset_sums(abs_spec, n)
-    assert set(table.sums) == {s + neg_total for s in abs_table.sums}
+    assert set(table) == {s + neg_total for s in abs_table}
 
 
 def test_subset_sums_depth_limit():
@@ -202,7 +201,7 @@ def test_subset_sums_visit_every_mask():
         sum((t for t, keep in zip(terms, mask) if keep), F(0))
         for mask in itertools.product((False, True), repeat=len(terms))
     }
-    sums = S.subset_sums(S.finite(terms), len(terms)).sums
+    sums = S.subset_sums(S.finite(terms), len(terms))
     assert len(sums) == 32 and set(sums) == expected
 
 
@@ -257,8 +256,8 @@ def test_inner_cover_is_per_mask_sums_widened_by_lower_tail_bound(spec, n):
     tail = positive.tail_sum(n)
     assert not tail.exact
     result = S.build_cn(spec, n)
-    sums = S.subset_sums(positive, n).sums
-    assert result.inner == S.normalize(S.ClosedInterval(s, s + tail.lo) for s in sums)
+    sums = S.subset_sums(positive, n)
+    assert result.inner == S.IntervalUnion(S.ClosedInterval(s, s + tail.lo) for s in sums)
     assert result.fattened == S.oracle_cn(spec, n)
     assert S.is_subset(result.inner, result.fattened)
 
@@ -280,5 +279,5 @@ def test_signed_subset_sums_are_the_hornich_translation(parts):
     count = sum(len(part.prefix) for part, _ in parts)
     pos, neg, _, minus = S.sign_split(spec)
     absolute = S.combine_parts((pos, neg))
-    translated = {s + minus.lo for s in S.subset_sums(absolute, count).sums}
-    assert set(S.subset_sums(spec, count).sums) == translated
+    translated = {s + minus.lo for s in S.subset_sums(absolute, count)}
+    assert set(S.subset_sums(spec, count)) == translated

@@ -40,7 +40,7 @@ def test_bar_chart_min_width_visible():
 
 
 def test_bar_chart_degenerate_span():
-    union = S.normalize([S.ClosedInterval(F(1, 3), F(1, 3))])
+    union = S.IntervalUnion([S.ClosedInterval(F(1, 3), F(1, 3))])
     svg = S.bar_chart(union)
     assert "<rect" in svg
 

@@ -224,13 +224,13 @@ def test_sign_split_divergent_positive_part():
 
 def test_summability_classes():
     assert (
-        S.summability_class(S.as_merged(S.PRESETS["thirds"])).value
+        S.classify(S.as_merged(S.PRESETS["thirds"])).summability.value
         == "absolutely-summable"
     )
     both = S.MergedSpec((S.power_sum(1),), (S.power_sum(1, start=2),))
-    assert S.summability_class(both).value == "conditionally-summable"
+    assert S.classify(both).summability.value == "conditionally-summable"
     one = S.MergedSpec((S.power_sum(1),), (S.geometric(F(1), F(1, 2)),))
-    assert S.summability_class(one).value == "unconditionally-unsummable"
+    assert S.classify(one).summability.value == "unconditionally-unsummable"
 
 
 def test_compare_term_tail_exact_kinds():

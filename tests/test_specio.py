@@ -87,6 +87,16 @@ def test_load_spec_pseries_validation():
         S.load_spec({"tail": {"kind": "pseries", "p": 0}})
 
 
+def test_power_sum_start_is_an_integer_and_round_trips():
+    # A bool start is refused: it would dump as "start": true, which
+    # load_spec refuses.
+    with pytest.raises(ValueError, match="start must be a positive integer"):
+        S.power_sum(2, start=True)
+    for start in range(1, 6):
+        spec = S.power_sum(2, start=start)
+        assert S.load_spec(S.dump_spec(spec)) == spec
+
+
 def test_load_spec_multigeometric():
     spec = S.load_spec({
         "tail": {"kind": "multigeometric", "ratios": ["9/20", "6/11"], "total": "5/3"},
