@@ -2,10 +2,14 @@
 
 Any target r > 0 is a subsequence sum when the terms are positive, tend
 to zero and diverge. Rounds work on the exact residual gap g: start at
-the first unused index whose term fits in g, then take consecutive terms
-while they fit. The term poking out past the run bounds the new gap, and
-a two-case argument (start term above or below g/2) shows each round at
+the first index whose term fits in g, then take consecutive terms while
+they fit. The term poking out past the run bounds the new gap, and a
+two-case argument (start term above or below g/2) shows each round at
 least halves the gap, so finitely many rounds reach any eps.
+
+The terms are non-increasing, so that index is 1 + spec.count_above(g),
+which each tail kind gives in closed form. It lies past the last run: that
+run stopped at a term that did not fit, and the new gap is below it.
 
 A run is summed on plain integers. Its terms come from the spec's stream
 of (numerator, denominator) pairs (SequenceSpec.pairs; a power-sum tail
@@ -14,7 +18,8 @@ terms up to BLOCK_CAP. Each block is summed by a balanced pairwise tree,
 one comprehension per level, into an unreduced pair, and added to the
 run on the lcm of the two denominators. A block that fits whole is taken
 whole; the first block that overshoots is scanned term by term. The run
-sum becomes one Fraction per round.
+sum becomes one Fraction per round. A run reads at most RUN_TERM_CAP
+terms from its stream and raises CapExceeded before it would read more.
 """
 from __future__ import annotations
 
@@ -23,15 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotDivergent
+from .errors import CapExceeded, NotDivergent
 from .rational import as_fraction
-from .sequences import SequenceSpec, drop_first, is_nonincreasing, positive_spec
+from .sequences import SequenceSpec, is_nonincreasing, positive_spec
 
 DEFAULT_MAX_ROUNDS = 64
 # Largest block of a run summed at once: past it the unreduced block sum
 # grows faster than the additions it saves. A power of two, as _block_sum
 # needs.
 BLOCK_CAP = 256
+# Most terms one run may read. The harmonic series needs a first run of
+# about e^(target - 0.58) terms, and the exact gap's digits grow with it:
+# target 12 (91,379 terms) fits, target 13 (248,396 terms) raises.
+RUN_TERM_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -50,27 +59,6 @@ class FillResult:
     achieved: Fraction
     target: Fraction
     hit_round_limit: bool = False
-
-
-def _first_index_fitting(spec: SequenceSpec, lowest: int, gap: Fraction) -> int:
-    """Smallest index >= lowest whose term is at most gap.
-
-    Terms are non-increasing and tend to zero, so the predicate is
-    monotone and a doubling search plus bisection finds the boundary.
-    """
-    if spec.term(lowest) <= gap:
-        return lowest
-    hi = lowest + 1
-    while spec.term(hi) > gap:
-        hi = 2 * hi
-    lo = lowest
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if spec.term(mid) <= gap:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _add(num: int, den: int, a: int, b: int) -> tuple:
@@ -100,22 +88,26 @@ def _block_sum(block: list) -> tuple:
 def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
     """Largest end with term(start) + ... + term(end) <= gap, and that sum.
 
-    The run reads the spec's integer-pair stream,
-    drop_first(spec, start - 1).pairs(), so no term becomes a Fraction.
-    term(start) must be at most gap. Terms are positive, so the partial
+    start is 1 + spec.count_above(gap), the first index whose term fits.
+    The run reads the integer-pair stream of the spec dropped by value,
+    spec.drop_above(gap).pairs(), so no term becomes a Fraction and a
+    merge is not walked to reach start. Terms are positive, so the partial
     sums of the run strictly increase. A block is taken only when the run
     plus the whole block is at most gap, so every partial sum inside it
     fits too; the first block that overshoots is scanned term by term with
     the same integer test, and the run stops at its first term that does
     not fit. So end is the largest index whose partial sum fits, and the
-    returned Fraction is that partial sum exactly.
+    returned Fraction is that partial sum exactly. Raises CapExceeded
+    before a block would take the terms read past RUN_TERM_CAP.
     """
     gn, gd = gap.numerator, gap.denominator
-    pairs = drop_first(spec, start - 1).pairs()
+    pairs = spec.drop_above(gap).pairs()
     num, den = 0, 1
     end = start - 1
     size = 1
     while True:
+        if end - start + 1 + size > RUN_TERM_CAP:
+            raise CapExceeded(f"run from term {start} reads more than {RUN_TERM_CAP} terms")
         block = list(itertools.islice(pairs, size))
         n2, d2 = _add(num, den, *_block_sum(block))
         if n2 * gd > gn * d2:
@@ -160,14 +152,12 @@ def fill(
     runs = []
     gaps = []
     gap = target
-    next_free = 1
     while gap >= eps and len(runs) < max_rounds:
-        start = _first_index_fitting(spec, next_free, gap)
+        start = 1 + spec.count_above(gap)
         end, run_sum = _longest_run(spec, start, gap)
         gap -= run_sum
         runs.append((start, end))
         gaps.append(gap)
-        next_free = end + 1
         if gap == 0:
             break
     return FillResult(

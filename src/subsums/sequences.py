@@ -6,8 +6,9 @@ proportions; one proportion is a geometric tail, which geometric()
 builds), or a descending merge of such streams. The four kinds share one
 base, _Tail: each defines term or terms and gets the other, plus pairs
 (the terms as integer (numerator, denominator) pairs), term_count and
-nonincreasing; each adds drop (what is left after its first terms) and
-its tail-sum enclosure. So the spec-level functions ask the tail instead
+nonincreasing; each adds drop (what is left after its first terms),
+count_above (how many terms exceed a value, with no walk) and its
+tail-sum enclosure. So the spec-level functions ask the tail instead
 of branching on its kind. Divergence is the enclosure's infinite end:
 total().hi is None. geometric_strands is the one reading of a tail as
 geometric strands with a common ratio. Terms are exact Fractions. Tail
@@ -66,7 +67,7 @@ class TailEnclosure:
     def __post_init__(self):
         lo = None if self.lo is None else as_fraction(self.lo)
         hi = None if self.hi is None else as_fraction(self.hi)
-        if lo is not None and hi is not None and lo > hi:
+        if lo is not None and hi is not None and lo is not hi and lo > hi:
             raise ValueError(f"enclosure out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -103,6 +104,8 @@ class TailEnclosure:
 
     def shift(self, offset) -> TailEnclosure:
         offset = as_fraction(offset)
+        if self.exact:
+            return TailEnclosure.point(self.lo + offset)
         lo = None if self.lo is None else self.lo + offset
         hi = None if self.hi is None else self.hi + offset
         return TailEnclosure(lo, hi)
@@ -113,14 +116,27 @@ class TailEnclosure:
         return TailEnclosure(lo, hi)
 
 
+def _integer_root(n: int, p: int) -> int:
+    """Largest k with k**p <= n >= 0, by Newton's method from above."""
+    if n < 2 or p == 1:
+        return n
+    k = 1 << -(-n.bit_length() // p)
+    while True:
+        step = ((p - 1) * k + n // k ** (p - 1)) // p
+        if step >= k:
+            return k
+        k = step
+
+
 class _Tail:
     """Members shared by the four tail kinds.
 
     Each kind defines term or terms, and the other is read from it: term
     walks the stream, terms maps term over 1, 2, ... A kind that defines
-    neither recurses. Each kind adds drop and enclosure, and overrides
-    term_count (None here: endless), nonincreasing and pairs where its
-    own answer differs.
+    neither recurses. Each kind adds drop, count_above and enclosure, and
+    overrides term_count (None here: endless), nonincreasing, pairs and
+    drop_above where its own answer differs. count_above(g) is the number
+    of terms greater than g > 0; it reads no term.
     """
 
     nonincreasing = True
@@ -139,6 +155,9 @@ class _Tail:
     def term_count(self) -> Optional[int]:
         return None
 
+    def drop_above(self, g: Fraction) -> SequenceSpec:
+        return self.drop(self.count_above(g))
+
 
 @dataclass(frozen=True)
 class FiniteTail(_Tail):
@@ -152,6 +171,9 @@ class FiniteTail(_Tail):
 
     def drop(self, count: int) -> SequenceSpec:
         return EMPTY
+
+    def count_above(self, g: Fraction) -> int:
+        return 0
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(ZERO)
@@ -187,6 +209,11 @@ class PowerSumTail(_Tail):
 
     def drop(self, count: int) -> SequenceSpec:
         return SequenceSpec((), PowerSumTail(self.exponent, self.start + count))
+
+    def count_above(self, g: Fraction) -> int:
+        # 1/k^p > n/d exactly when k^p <= (d - 1) // n.
+        largest = _integer_root((g.denominator - 1) // g.numerator, self.exponent)
+        return max(largest - self.start + 1, 0)
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         if self.exponent == 1:
@@ -261,6 +288,26 @@ class MultiGeometricTail(_Tail):
         rotated = tuple(self.ratios[(count + j) % m] for j in range(m))
         return SequenceSpec((), MultiGeometricTail(rotated, self.remaining(count)))
 
+    def count_above(self, g: Fraction) -> int:
+        # Strand j holds heads[j] * q^w for w = 0, 1, ...; its count is the
+        # least w with heads[j] * q^w <= g, found by doubling and bisection.
+        q = self.period_factor
+        count = 0
+        for head in self.heads:
+            if head <= g:
+                continue
+            above, fits = 0, 1
+            while head * q**fits > g:
+                above, fits = fits, 2 * fits
+            while fits - above > 1:
+                mid = (above + fits) // 2
+                if head * q**mid > g:
+                    above = mid
+                else:
+                    fits = mid
+            count += fits
+        return count
+
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(self.remaining(skip))
 
@@ -323,6 +370,13 @@ class MergeTail(_Tail):
         return _wrap_merge(
             drop_first(part, used) for part, used in zip(self.parts, self.consumed(count))
         )
+
+    def count_above(self, g: Fraction) -> int:
+        return sum(part.count_above(g) for part in self.parts)
+
+    def drop_above(self, g: Fraction) -> SequenceSpec:
+        # Each part loses its own terms above g, so the merge is not walked.
+        return _wrap_merge(part.drop_above(g) for part in self.parts)
 
     def consumed(self, count: int) -> list:
         """Per-part term counts of the first `count` merged terms."""
@@ -387,6 +441,24 @@ class SequenceSpec:
         if tail_count is None:
             return None
         return len(self.prefix) + tail_count
+
+    def count_above(self, g) -> int:
+        """Number of terms greater than g > 0, found with no walk or search."""
+        g = as_fraction(g)
+        if g <= 0:
+            raise ValueError("count_above needs a positive bound")
+        return sum(1 for value in self.prefix if value > g) + self.tail.count_above(g)
+
+    def drop_above(self, g) -> SequenceSpec:
+        """A non-increasing spec with its terms greater than g > 0 removed.
+
+        This is drop_first(self, self.count_above(g)), but a merge tail
+        drops each part by that part's own count instead of walking.
+        """
+        above = self.count_above(g)
+        if above <= len(self.prefix):
+            return drop_first(self, above)
+        return self.tail.drop_above(as_fraction(g))
 
     def tail_sum(self, skip: int, extra: int = 0) -> TailEnclosure:
         """Enclosure of the sum of all terms after the first `skip`."""

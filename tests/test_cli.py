@@ -23,12 +23,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(*argv):
-    """`python -m subsums.cli argv` in a new interpreter, with src on the path."""
+def run_fresh(*argv, timeout=120):
+    """`python -m subsums.cli argv` in a new interpreter, with src on the path.
+
+    A run past `timeout` seconds raises subprocess.TimeoutExpired, so a hang
+    fails its test.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
         [sys.executable, "-m", "subsums.cli", *argv],
-        capture_output=True, env=env, timeout=120,
+        capture_output=True, env=env, timeout=timeout,
     )
 
 
@@ -210,6 +214,25 @@ def test_fill_takes_a_merge_of_positive_specs(capsys, tmp_path):
     code, out, err = run(capsys, "fill", "--seq", str(path), "--target", "3")
     assert code == 0, err
     assert out.splitlines()[0] == "runs: 1..6 8..8"
+
+
+def test_fill_reaches_far_runs_of_a_merge(tmp_path):
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps({"merge": [
+        {"tail": {"kind": "pseries", "p": 1, "start": 2}},
+        {"tail": {"kind": "geometric", "a": "5/6", "rho": "2/3"}},
+    ]}))
+    fresh = run_fresh("fill", "--seq", str(path), "--target", "22/7", "--eps", _eps(30), timeout=30)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.decode().splitlines()[0] == (
+        "runs: 1..7 25..25 1408..1408 2066966..2066966 4588661229587..4588661229587"
+    )
+
+
+def test_fill_past_the_run_term_cap_exits_2(capsys):
+    code, _, err = run(capsys, "fill", "--seq", "harmonic", "--target", "14")
+    assert code == 2
+    assert "CapExceeded" in err
 
 
 def test_fill_of_signed_merge_is_usage_error(capsys, tmp_path):

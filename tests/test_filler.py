@@ -1,4 +1,5 @@
 """Greedy representation of targets by divergent series."""
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -259,3 +260,42 @@ def test_fill_on_a_harmonic_geometric_merge_matches_scanning_reference(
     assert S.fill(spec, target, eps, max_rounds) == _scanning_reference_fill(
         spec, target, eps, max_rounds
     )
+
+
+_HARMONIC_GEOMETRIC_MERGE = S.SequenceSpec(
+    (), S.MergeTail((S.power_sum(1, start=2), S.geometric(F(5, 6), F(2, 3))))
+)
+
+
+@pytest.mark.parametrize("target", [3, 4])
+def test_fill_on_the_merge_matches_scanning_reference(target):
+    # Runs start as far as term 17,411 (target 3); counting the terms above
+    # each gap reaches them in well under the budget, walking the merge
+    # to each start does not.
+    eps = F(1, 10**6)
+    began = time.perf_counter()
+    result = S.fill(_HARMONIC_GEOMETRIC_MERGE, target, eps)
+    assert time.perf_counter() - began < 0.1
+    assert result == _scanning_reference_fill(
+        _HARMONIC_GEOMETRIC_MERGE, F(target), eps, DEFAULT_MAX_ROUNDS
+    )
+
+
+@pytest.mark.parametrize("eps_digits", [9, 30])
+def test_fill_on_the_merge_reaches_far_runs_without_walking(eps_digits):
+    # The fourth run starts past two million merged terms; fill counts the
+    # terms above each gap instead of reaching it.
+    began = time.perf_counter()
+    result = S.fill(_HARMONIC_GEOMETRIC_MERGE, F(22, 7), F(1, 10**eps_digits))
+    assert time.perf_counter() - began < 1
+    assert result.runs[:4] == ((1, 7), (25, 25), (1408, 1408), (2066966, 2066966))
+    assert not result.hit_round_limit
+
+
+def test_fill_run_term_cap():
+    began = time.perf_counter()
+    with pytest.raises(S.CapExceeded):
+        S.fill(S.PRESETS["harmonic"], F(14), F(1, 10**6))
+    assert time.perf_counter() - began < 5
+    # Target 12 has a first run of 91,379 terms, under the cap.
+    assert S.fill(S.PRESETS["harmonic"], F(12), F(1, 10**6)).runs[0] == (1, 91379)

@@ -5,11 +5,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import subsums as S
-from subsums.sequences import REFINEMENT_STEPS
+from subsums.sequences import REFINEMENT_STEPS, _integer_root
 
 
 def take(spec, n):
@@ -491,3 +491,99 @@ def test_power_sum_pairs_build_no_fraction(monkeypatch):
     monkeypatch.setattr(S.PowerSumTail, "term", no_term)
     pairs = S.power_sum(3, start=4, prefix=(F(1, 2),)).pairs()
     assert list(itertools.islice(pairs, 4)) == [(1, 2), (1, 64), (1, 125), (1, 216)]
+
+
+# --- counting the terms above a value -------------------------------------------
+
+_fractions = st.fractions(min_value=F(1, 20), max_value=F(3, 2), max_denominator=60)
+_proportions = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=20)
+
+
+@st.composite
+def _single_tail_specs(draw):
+    """A prefix-free non-increasing spec of one non-merge tail kind."""
+    kind = draw(st.sampled_from(["finite", "power-sum", "geometric", "multi-geometric"]))
+    if kind == "finite":
+        return S.finite(sorted(draw(st.lists(_fractions, min_size=1, max_size=6)), reverse=True))
+    if kind == "power-sum":
+        return S.power_sum(draw(st.integers(1, 3)), start=draw(st.integers(1, 5)))
+    if kind == "geometric":
+        return S.geometric(draw(_fractions), draw(_proportions))
+    ratios = draw(st.lists(_proportions, min_size=2, max_size=3))
+    spec = S.multi_geometric(ratios, draw(_fractions))
+    assume(spec.tail.nonincreasing)
+    return spec
+
+
+@st.composite
+def _counted_specs(draw):
+    """A non-increasing spec of any tail kind, with or without a prefix."""
+    if draw(st.booleans()):
+        body = draw(_single_tail_specs())
+    else:
+        parts = draw(st.lists(_single_tail_specs(), min_size=2, max_size=3))
+        body = S.SequenceSpec((), S.MergeTail(tuple(parts)))
+    # Prefix entries at or above the body's first term, so ties cross over.
+    first = next(body.terms())
+    bumps = draw(st.lists(st.integers(0, 4), max_size=2))
+    prefix = sorted((first * (1 + F(b, 4)) for b in bumps), reverse=True)
+    return S.SequenceSpec(tuple(prefix) + body.prefix, body.tail)
+
+
+def _scanned_count(spec, g, limit=3000):
+    """Terms above g, counted by scanning the non-increasing stream; None
+    past the limit."""
+    for count, value in enumerate(itertools.islice(spec.terms(), limit)):
+        if value <= g:
+            return count
+    count = len(take(spec, limit + 1))
+    return count if count <= limit else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counted_specs(), st.data())
+def test_count_above_and_drop_above_match_scanning(spec, data):
+    terms = take(spec, 40)
+    way = data.draw(st.sampled_from(["tie", "just-above", "just-below", "over-first", "tiny"]))
+    if way == "over-first":
+        g = terms[0] + data.draw(_fractions)
+    elif way == "tiny":
+        g = F(1, 10 ** data.draw(st.integers(1, 60)))
+    else:
+        term = data.draw(st.sampled_from(terms))
+        nudge = term / 10 ** data.draw(st.integers(1, 30))
+        g = {"tie": term, "just-above": term + nudge, "just-below": term - nudge}[way]
+    count = _scanned_count(spec, g)
+    assume(count is not None)
+    assert spec.count_above(g) == count
+    assert take(spec.drop_above(g), 20) == take(spec, count + 20)[count:]
+
+
+def test_count_above_walks_no_merge(monkeypatch):
+    def no_walk(tail):
+        raise AssertionError("the merge was walked")
+
+    monkeypatch.setattr(S.MergeTail, "walk", no_walk)
+    spec = S.SequenceSpec((F(2),), S.MergeTail((S.power_sum(1, start=2), S.geometric(F(5, 6), F(2, 3)))))
+    g = F(1, 10**9)
+    # 2 in the prefix, 1/2 .. 1/(10^9 - 1) from the harmonic part (1/10^9
+    # ties g, so it stays), and (5/6)(2/3)^w for w = 0 .. 50 from the
+    # geometric part.
+    assert spec.count_above(g) == 1 + (10**9 - 2) + 51
+    dropped = spec.drop_above(g)
+    assert dropped.tail.parts == (S.power_sum(1, start=10**9), S.geometric(F(5, 6) * F(2, 3) ** 51, F(2, 3)))
+
+
+def test_count_above_needs_a_positive_bound():
+    for g in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError):
+            S.PRESETS["halves"].count_above(g)
+        with pytest.raises(ValueError):
+            S.PRESETS["halves"].drop_above(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**60), st.integers(min_value=1, max_value=7))
+def test_integer_root_is_the_floor_of_the_real_root(n, p):
+    k = _integer_root(n, p)
+    assert k**p <= n < (k + 1) ** p
