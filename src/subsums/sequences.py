@@ -15,8 +15,9 @@ geometric strands with a common ratio. Terms are exact Fractions. Tail
 sums are returned as enclosures that are either exact or rigorous
 rational brackets (power sums use the integral test and can be refined
 by summing more terms explicitly). term_tail_relations compares every
-term with its tail: in one pass over the terms when the total is exact,
-index by index through compare_term_tail when it is not.
+term with its tail: by one running subtraction from the total when it is
+exact, index by index through compare_term_tail when it is inexact, and
+with no term read when it diverges (an infinite tail bounds every term).
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -100,14 +101,6 @@ class TailEnclosure:
     def __add__(self, other: TailEnclosure) -> TailEnclosure:
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return TailEnclosure(lo, hi)
-
-    def shift(self, offset) -> TailEnclosure:
-        offset = as_fraction(offset)
-        if self.exact:
-            return TailEnclosure.point(self.lo + offset)
-        lo = None if self.lo is None else self.lo + offset
-        hi = None if self.hi is None else self.hi + offset
         return TailEnclosure(lo, hi)
 
     def negate(self) -> TailEnclosure:
@@ -466,7 +459,7 @@ class SequenceSpec:
             raise ValueError("skip must be nonnegative")
         if skip < len(self.prefix):
             rest = sum(self.prefix[skip:], start=ZERO)
-            return self.tail.enclosure(0, extra=extra).shift(rest)
+            return TailEnclosure.point(rest) + self.tail.enclosure(0, extra=extra)
         return self.tail.enclosure(skip - len(self.prefix), extra=extra)
 
     def total(self) -> TailEnclosure:
@@ -648,7 +641,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     x_1 .. x_k, so removing them moves every later term m places forward:
     x_(i+m) = q x_i for every i >= k - m + 1. Past its first k - m terms
     the merge therefore repeats with period m and factor q, which is the
-    multi-geometric tail with the proportions of x_(k-m+1) .. x_k.
+    multi-geometric tail with the proportions of x_(k-m+1) .. x_k. Its
+    total is each period's sum, x_(k-m+1) + ... + x_k, times 1/(1 - q).
     """
     kind = spec.tail
     if isinstance(kind, MultiGeometricTail):
@@ -666,7 +660,7 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
         if len(started) == m:
             break
     head, window = walked[:-m], walked[-m:]
-    total = sum(heads, start=ZERO) / (1 - q) - sum(head, start=ZERO)
+    total = sum(window, start=ZERO) / (1 - q)
     ratios = []
     rest = total
     for value in window:
@@ -742,18 +736,6 @@ class TermTailRelation(Enum):
     INDETERMINATE = "indeterminate"
 
 
-def _compare_once(term: Fraction, tail: TailEnclosure) -> TermTailRelation:
-    if tail.hi is None:
-        # hi=None marks genuine divergence, and an infinite tail bounds
-        # any term.
-        return TermTailRelation.TAIL_BOUNDS_TERM
-    if term > tail.hi:
-        return TermTailRelation.TERM_EXCEEDS_TAIL
-    if term <= tail.lo:
-        return TermTailRelation.TAIL_BOUNDS_TERM
-    return TermTailRelation.INDETERMINATE
-
-
 def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:
     """Resolve term(index) vs tail(index), refining inexact enclosures.
 
@@ -761,27 +743,35 @@ def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:
     """
     term = spec.term(index)
     for extra in (0,) + REFINEMENT_STEPS:
-        relation = _compare_once(term, spec.tail_sum(index, extra=extra))
-        if relation is not TermTailRelation.INDETERMINATE:
-            return relation
+        tail = spec.tail_sum(index, extra=extra)
+        # hi=None marks genuine divergence, and an infinite tail bounds
+        # any term.
+        if tail.hi is None or term <= tail.lo:
+            return TermTailRelation.TAIL_BOUNDS_TERM
+        if term > tail.hi:
+            return TermTailRelation.TERM_EXCEEDS_TAIL
     raise IndeterminateComparison(index)
 
 
 def term_tail_relations(spec: SequenceSpec, count: int) -> tuple:
     """Relations of term n to tail n for n = 1..count (fewer past a finite end).
 
-    An exact total, or a divergent one, takes one pass, shifting the
-    enclosure down by each term; such a bracket decides every index. An
-    inexact total comes from an endless power-sum tail, and shifting it
-    settles nothing, so each index goes to compare_term_tail. Its refined
-    brackets nest inside the shifted one, so no relation and no
-    IndeterminateComparison index depends on the path.
+    A divergent total means an endless spec whose every tail is infinite,
+    so every relation is bound and no term is read. An exact total takes
+    one pass: the running rest starts at the total and loses each term in
+    turn, so after n terms it is tail n exactly. An inexact total comes
+    from an endless power-sum tail, and subtracting terms from it settles
+    nothing, so each index goes to compare_term_tail.
     """
-    tail = spec.total()
-    if tail.finite and not tail.exact:
+    total = spec.total()
+    if total.hi is None:
+        return (TermTailRelation.TAIL_BOUNDS_TERM,) * max(count, 0)
+    if not total.exact:
         return tuple(compare_term_tail(spec, index) for index in range(1, count + 1))
+    exceed, bound = TermTailRelation.TERM_EXCEEDS_TAIL, TermTailRelation.TAIL_BOUNDS_TERM
     relations = []
+    rest = total.lo
     for term in itertools.islice(spec.terms(), max(count, 0)):
-        tail = tail.shift(-term)
-        relations.append(_compare_once(term, tail))
+        rest -= term
+        relations.append(exceed if term > rest else bound)
     return tuple(relations)

@@ -359,6 +359,11 @@ _relation_specs = st.one_of(
     st.builds(S.finite, st.lists(_values, min_size=1, max_size=4)),
     st.builds(lambda ps, rest: _merge([ps, *rest]), _power_sums, st.lists(_merge_parts, max_size=2)),
     st.lists(_merge_parts, min_size=2, max_size=3).map(_merge),
+    st.builds(
+        lambda start, rest: _merge([S.power_sum(1, start), *rest]),
+        st.integers(1, 4),
+        st.lists(_merge_parts, max_size=2),
+    ),
     st.just(S.power_sum(1)),
 )
 
@@ -382,6 +387,42 @@ def test_term_tail_relations_match_pointwise_comparisons(spec, count):
         lambda: tuple(S.compare_term_tail(spec, n) for n in range(1, last + 1))
     )
     assert _relations_or_stuck(lambda: S.term_tail_relations(spec, count)) == expected
+
+
+def test_exact_relation_pass_builds_no_enclosure_per_term(monkeypatch):
+    # The pass subtracts each term from the exact total, so the enclosures
+    # it builds do not grow with the count.
+    specs = (S.PRESETS["gn"], S.term_tail_profile(S.PRESETS["kenyon"]).view)
+    built = []
+    init = S.TailEnclosure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(S.TailEnclosure, "__post_init__", counted)
+    for spec in specs:
+        counts = []
+        for count in (50, 200):
+            built.clear()
+            S.term_tail_relations(spec, count)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+
+def test_divergent_relations_read_no_term(monkeypatch):
+    spec = S.combine_parts((S.power_sum(1, start=2), S.geometric(F(5, 6), F(2, 3))))
+    walked = []
+    terms = S.MergeTail.terms
+
+    def counted(self):
+        walked.append(self)
+        return terms(self)
+
+    monkeypatch.setattr(S.MergeTail, "terms", counted)
+    relations = S.term_tail_relations(spec, 50)
+    assert relations == (S.TermTailRelation.TAIL_BOUNDS_TERM,) * 50
+    assert walked == []
 
 
 def assert_view_matches(spec):
