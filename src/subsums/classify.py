@@ -288,9 +288,10 @@ class VerdictKind(Enum):
 class Verdict:
     """Classification outcome with the certificate that produced it.
 
-    hull endpoints use None for an infinite side. translation is the sum
-    of the negative part (the subsum set is the absolute-value subsum set
-    shifted by it); None when that sum has no exact rational value.
+    hull_hi is the positive part's upper sum, hull_lo minus the |negative
+    part|'s; None marks an infinite side. translation, the negative part's
+    sum, shifts the absolute-value subsum set onto this one; None when that
+    sum is not exact.
     """
 
     kind: VerdictKind
@@ -334,21 +335,26 @@ def _exact_component_count(spec, stabilized_depth, lower: int = 1) -> Optional[i
 
 
 def classify(spec) -> Verdict:
-    """Classify the subsum set of a (possibly signed, merged) spec."""
-    pos, neg, plus, minus = sign_split(spec)
+    """Classify the subsum set of a (possibly signed, merged) spec.
+
+    Raises CapExceeded when the reordering is a strand merge whose head
+    passes self_similar's HEAD_TERM_CAP.
+    """
+    pos, neg = sign_split(spec)
+    plus, minus = pos.total(), neg.total()
     summability = summability_of(plus, minus)
     base = Verdict(
         VerdictKind.UNDETERMINED,
         summability,
-        hull_lo=minus.lo,
+        hull_lo=None if minus.hi is None else -minus.hi,
         hull_hi=plus.hi,
-        hull_exact=all(side.exact for side in (plus, minus) if side.finite),
+        hull_exact=all(side.exact for side in (plus, minus) if side.hi is not None),
     )
     if summability is SummabilityClass.CONDITIONALLY_SUMMABLE:
         return replace(base, kind=VerdictKind.WHOLE_LINE)
     if summability is SummabilityClass.UNCONDITIONALLY_UNSUMMABLE:
         return replace(base, kind=VerdictKind.UNBOUNDED_INTERVAL)
-    base = replace(base, translation=minus.value if minus.exact else None)
+    base = replace(base, translation=-minus.value if minus.exact else None)
     abs_spec = combine_parts((pos, neg))
 
     finite_count = abs_spec.term_count()

@@ -24,7 +24,6 @@ from .intervals import format_components, to_text
 from .oracle import check_depth, oracle_cn
 from .rational import format_rational, parse_rational
 from .render import bar_chart, sweep
-from .sequences import TermTailRelation
 from .specio import PRESETS, load_spec
 
 PROFILE_PREFIX_LEN = 10
@@ -97,8 +96,9 @@ def _cmd_classify(args) -> int:
             # Report the relations up to the first one that no refinement
             # resolves, instead of losing the verdict.
             relations = verdict.profile.comparisons(stuck.index - 1)
-            relations += (TermTailRelation.INDETERMINATE,)
-        profile_prefix = [rel.value for rel in relations]
+            profile_prefix = [rel.value for rel in relations] + ["indeterminate"]
+        else:
+            profile_prefix = [rel.value for rel in relations]
     payload = {
         "kind": verdict.kind.value,
         "certificate": verdict.certificate,

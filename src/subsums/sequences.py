@@ -9,13 +9,13 @@ base, _Tail: each defines term or terms and gets the other, plus pairs
 nonincreasing; each adds drop (what is left after its first terms),
 count_above (how many terms exceed a value, with no walk) and its
 tail-sum enclosure. So the spec-level functions ask the tail instead
-of branching on its kind. Divergence is the enclosure's infinite end:
-total().hi is None. geometric_strands is the one reading of a tail as
-geometric strands with a common ratio. Terms are exact Fractions. Tail
-sums are returned as enclosures that are either exact or rigorous
-rational brackets (power sums use the integral test and can be refined
-by summing more terms explicitly). term_tail_relations compares every
-term with its tail: by one running subtraction from the total when it is
+of branching on its kind. geometric_strands is the one reading of a tail
+as geometric strands with a common ratio. Terms are exact Fractions. A
+tail sum is an enclosure [lo, hi] of a positive sum with lo a finite
+Fraction: exact, a rigorous rational bracket (power sums use the
+integral test and can be refined by summing more terms explicitly), or
+divergent, with hi None. term_tail_relations compares every term
+with its tail: by one running subtraction from the total when it is
 exact, index by index through compare_term_tail when it is inexact, and
 with no term read when it diverges (an infinite tail bounds every term).
 
@@ -23,8 +23,8 @@ Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
 only. A sign is stored in one place: a signed sequence is a MergedSpec of
 positive parts and negative parts, the latter held as specs of their
-absolute values. sign_split reads the two, and summability_of their
-sums.
+absolute values. sign_split returns the two, and summability_of reads
+their totals; classify alone negates the negative part's sum.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ import operator
 from typing import Iterator, Optional, Union
 
 from .errors import (
+    CapExceeded,
     IndexBeyondFinite,
     IndeterminateComparison,
     UnsupportedExponent,
@@ -50,25 +51,29 @@ ZERO = Fraction(0)
 # comparison, in order.
 REFINEMENT_STEPS = (8, 32, 128)
 
+# Most merged terms self_similar walks before every strand has started:
+# multi_geometric((1/1000, 1/4000), 1) needs 1,111, the 1/10^4 one 11,092.
+HEAD_TERM_CAP = 1 << 11
+
 # (numerator, denominator) of a Fraction, already in lowest terms.
 _as_pair = operator.attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True)
 class TailEnclosure:
-    """Closed rational bracket [lo, hi] around a (possibly infinite) sum.
+    """Closed rational bracket [lo, hi] around a sum of positive terms.
 
-    None marks an infinite endpoint: hi=None means the sum diverges to
-    +infinity, lo=None means -infinity. The bracket is exact when lo == hi.
+    lo is always a finite Fraction; hi=None means the sum diverges to
+    +infinity. The bracket is exact when lo == hi.
     """
 
-    lo: Optional[Fraction]
+    lo: Fraction
     hi: Optional[Fraction]
 
     def __post_init__(self):
-        lo = None if self.lo is None else as_fraction(self.lo)
+        lo = as_fraction(self.lo)
         hi = None if self.hi is None else as_fraction(self.hi)
-        if lo is not None and hi is not None and lo is not hi and lo > hi:
+        if hi is not None and lo is not hi and lo > hi:
             raise ValueError(f"enclosure out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -80,11 +85,7 @@ class TailEnclosure:
 
     @property
     def exact(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
-    @property
-    def finite(self) -> bool:
-        return self.lo is not None and self.hi is not None
+        return self.lo == self.hi
 
     @property
     def value(self) -> Fraction:
@@ -92,21 +93,9 @@ class TailEnclosure:
             raise ValueError("enclosure is not exact")
         return self.lo
 
-    @property
-    def width(self) -> Fraction:
-        if not self.finite:
-            raise ValueError("enclosure is unbounded")
-        return self.hi - self.lo
-
     def __add__(self, other: TailEnclosure) -> TailEnclosure:
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return TailEnclosure(lo, hi)
-
-    def negate(self) -> TailEnclosure:
-        lo = None if self.hi is None else -self.hi
-        hi = None if self.lo is None else -self.lo
-        return TailEnclosure(lo, hi)
+        return TailEnclosure(self.lo + other.lo, hi)
 
 
 def _integer_root(n: int, p: int) -> int:
@@ -633,7 +622,9 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     with one common ratio q is walked until every strand has given its
     first term, at merged position k; the view's prefix is the spec's
     prefix plus the first k - m merged terms, and its proportions come
-    from the next m terms. Returns None for any other tail.
+    from the next m terms. Returns None for any other tail. Raises
+    CapExceeded when HEAD_TERM_CAP merged terms are walked and some strand
+    has still not started.
 
     Why the view is exact: let x_1 >= x_2 >= ... be the merged terms.
     Scaling a strand by q drops its head, so q x_1 >= q x_2 >= ... is the
@@ -659,6 +650,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
         started.add(idx)
         if len(started) == m:
             break
+        if len(walked) == HEAD_TERM_CAP:
+            raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
     head, window = walked[:-m], walked[-m:]
     total = sum(window, start=ZERO) / (1 - q)
     ratios = []
@@ -693,16 +686,14 @@ def combine_parts(parts) -> SequenceSpec:
 
 
 def sign_split(spec) -> tuple:
-    """Split into (positive part, |negative part|, positive sum, negative sum).
+    """Split into (positive part, |negative part|).
 
     Both parts are positive specs; the negative part is given by its
-    absolute values. The sums are enclosures; the negative sum is <= 0 and
-    may be the -infinity enclosure for divergent negative parts.
+    absolute values. Each part's total() is its sum, an enclosure whose
+    hi is None when the part diverges.
     """
     merged = as_merged(spec)
-    pos = combine_parts(merged.positive)
-    neg = combine_parts(merged.negative)
-    return pos, neg, pos.total(), neg.total().negate()
+    return combine_parts(merged.positive), combine_parts(merged.negative)
 
 
 def positive_spec(spec) -> SequenceSpec:
@@ -719,10 +710,11 @@ def positive_spec(spec) -> SequenceSpec:
 
 
 def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClass:
-    """Summability class from the sums of the positive and negative parts."""
-    if plus.finite and minus.finite:
+    """Summability class from the totals of the positive part and the
+    |negative part|, each divergent when its hi is None."""
+    if plus.hi is not None and minus.hi is not None:
         return SummabilityClass.ABSOLUTELY_SUMMABLE
-    if plus.finite or minus.finite:
+    if plus.hi is not None or minus.hi is not None:
         return SummabilityClass.UNCONDITIONALLY_UNSUMMABLE
     return SummabilityClass.CONDITIONALLY_SUMMABLE
 
@@ -733,7 +725,6 @@ def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClas
 class TermTailRelation(Enum):
     TERM_EXCEEDS_TAIL = "exceed"
     TAIL_BOUNDS_TERM = "bound"
-    INDETERMINATE = "indeterminate"
 
 
 def compare_term_tail(spec: SequenceSpec, index: int) -> TermTailRelation:

@@ -1,6 +1,10 @@
 """The public names of the package, pinned so that any addition or removal
 shows up as a one-line diff here."""
 import inspect
+from dataclasses import fields
+from fractions import Fraction as F
+
+import pytest
 
 import subsums as S
 
@@ -88,3 +92,26 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_term_tail_relation_members_are_pinned():
+    assert [rel.value for rel in S.TermTailRelation] == ["exceed", "bound"]
+
+
+def test_tail_enclosure_is_pinned():
+    # A positive bracket: lo is always finite, hi is None on divergence.
+    assert {f.name: f.type for f in fields(S.TailEnclosure)} == {
+        "lo": "Fraction",
+        "hi": "Optional[Fraction]",
+    }
+    members = sorted(name for name in vars(S.TailEnclosure) if not name.startswith("_"))
+    assert members == ["exact", "point", "value"]
+    with pytest.raises(TypeError):
+        S.TailEnclosure(None, F(1))
+
+
+def test_sign_split_returns_two_specs():
+    signed = S.MergedSpec((S.PRESETS["halves"],), (S.PRESETS["thirds"],))
+    parts = S.sign_split(signed)
+    assert len(parts) == 2
+    assert all(isinstance(part, S.SequenceSpec) for part in parts)

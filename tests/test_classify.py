@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import subsums as S
 from subsums.classify import COUNT_CAP, EventualKind
-from subsums.sequences import REFINEMENT_STEPS
+from subsums.sequences import HEAD_TERM_CAP, REFINEMENT_STEPS
 
 EX = S.TermTailRelation.TERM_EXCEEDS_TAIL
 BD = S.TermTailRelation.TAIL_BOUNDS_TERM
@@ -425,6 +425,25 @@ def test_classify_long_geometric_head_in_budget():
     assert verdict.component_count == 1
 
 
+def test_classify_strand_merge_head_under_the_cap():
+    # 1,111 merged terms are walked before both strands start, under
+    # HEAD_TERM_CAP; the view keeps the first 1,109 as its prefix.
+    verdict = S.classify(S.multi_geometric((F(1, 1000), F(1, 4000)), 1))
+    assert len(verdict.profile.view.prefix) == 1109
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.component_count == 1
+
+
+def test_classify_strand_merge_head_past_the_cap_fails_fast():
+    # Both strands have started only after 11,092 merged terms; the walk
+    # stops at HEAD_TERM_CAP instead.
+    spec = S.multi_geometric((F(1, 10**4), F(1, 4 * 10**4)), 1)
+    started = time.perf_counter()
+    with pytest.raises(S.CapExceeded, match=f"passes {HEAD_TERM_CAP} terms"):
+        S.classify(spec)
+    assert time.perf_counter() - started < 3
+
+
 def test_classify_undetermined_in_open_region():
     spec = S.multi_geometric((F(4, 11), F(6, 11)), F(1))
     verdict = S.classify(spec)
@@ -568,6 +587,9 @@ VERDICT_TABLE = [
     ("signed-translation",
      S.MergedSpec((S.geometric(F(1, 4), F(1, 4)),), (S.geometric(F(1, 2), F(1, 4)),)),
      (K.FINITE_UNION, ABS, None, None, F(-2, 3), F(1, 3), True, 1, 1, 1, F(-2, 3), False, None)),
+    ("signed-inexact-negative-sum",
+     S.MergedSpec((S.geometric(F(1, 2), F(1, 2)),), (S.power_sum(2, start=2),)),
+     (K.UNDETERMINED, ABS, None, None, F(-1), F(1), False, None, None, None, None, False, None)),
     ("pseries-bounds", S.power_sum(2),
      (K.FINITE_UNION, ABS, None, None, F(0), F(2), False, 2, 4, 2, F(0), False, None)),
     ("all-exceed", S.PRESETS["thirds"],

@@ -235,6 +235,16 @@ def test_fill_past_the_run_term_cap_exits_2(capsys):
     assert "CapExceeded" in err
 
 
+def test_classify_past_the_head_term_cap_exits_2(tmp_path):
+    path = tmp_path / "long-head.json"
+    path.write_text(json.dumps(
+        {"tail": {"kind": "multigeometric", "ratios": ["1/10000", "1/40000"], "total": "1"}}
+    ))
+    fresh = run_fresh("classify", "--seq", str(path), timeout=30)
+    assert fresh.returncode == 2
+    assert "CapExceeded" in fresh.stderr.decode()
+
+
 def test_fill_of_signed_merge_is_usage_error(capsys, tmp_path):
     path = tmp_path / "signed.json"
     path.write_text(json.dumps({"merge": [_HARMONIC_PART, {**_HALVES_PART, "negated": True}]}))

@@ -277,7 +277,7 @@ def test_signed_subset_sums_are_the_hornich_translation(parts):
         tuple(part for part, negated in parts if negated),
     )
     count = sum(len(part.prefix) for part, _ in parts)
-    pos, neg, _, minus = S.sign_split(spec)
+    pos, neg = S.sign_split(spec)
     absolute = S.combine_parts((pos, neg))
-    translated = {s + minus.lo for s in S.subset_sums(absolute, count)}
+    translated = {s - neg.total().value for s in S.subset_sums(absolute, count)}
     assert set(S.subset_sums(spec, count)) == translated
