@@ -32,7 +32,7 @@ Anything not certified is reported Undetermined, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -128,10 +128,21 @@ def _pseries_bound_threshold(exponent: int) -> int:
     every index >= N.
     """
     p = exponent
-    n = 1
-    while (n + 1) * Fraction(n, n + 1) ** p < p - 1:
-        n += 1
-    return n
+
+    def reached(n: int) -> bool:
+        return (n + 1) * Fraction(n, n + 1) ** p >= p - 1
+
+    # Double past the threshold, then bisect: below < N <= above.
+    below, above = 0, 1
+    while not reached(above):
+        below, above = above, 2 * above
+    while above - below > 1:
+        mid = (below + above) // 2
+        if reached(mid):
+            above = mid
+        else:
+            below = mid
+    return above
 
 
 def _region_verdict(
@@ -343,18 +354,18 @@ def classify(spec) -> Verdict:
     pos, neg = sign_split(spec)
     plus, minus = pos.total(), neg.total()
     summability = summability_of(plus, minus)
-    base = Verdict(
-        VerdictKind.UNDETERMINED,
-        summability,
+    # The fields every verdict shares; each return builds one Verdict.
+    shared = dict(
+        summability=summability,
         hull_lo=None if minus.hi is None else -minus.hi,
         hull_hi=plus.hi,
         hull_exact=all(side.exact for side in (plus, minus) if side.hi is not None),
     )
     if summability is SummabilityClass.CONDITIONALLY_SUMMABLE:
-        return replace(base, kind=VerdictKind.WHOLE_LINE)
+        return Verdict(VerdictKind.WHOLE_LINE, **shared)
     if summability is SummabilityClass.UNCONDITIONALLY_UNSUMMABLE:
-        return replace(base, kind=VerdictKind.UNBOUNDED_INTERVAL)
-    base = replace(base, translation=-minus.value if minus.exact else None)
+        return Verdict(VerdictKind.UNBOUNDED_INTERVAL, **shared)
+    shared["translation"] = -minus.value if minus.exact else None
     abs_spec = combine_parts((pos, neg))
 
     finite_count = abs_spec.term_count()
@@ -364,20 +375,20 @@ def classify(spec) -> Verdict:
         # has zero width and its steps only add points, so the final count
         # is past the cap.
         lower, upper = (count, count) if count is not None else (COUNT_CAP + 1, 2**finite_count)
-        return replace(
-            base,
-            kind=VerdictKind.FINITE_UNION,
+        return Verdict(
+            VerdictKind.FINITE_UNION,
             component_lower=lower,
             component_upper=upper,
             component_count=count,
+            **shared,
         )
 
     profile = term_tail_profile(abs_spec)
-    base = replace(base, profile=profile, known_infinitely_many=profile.gaps_recur)
+    shared.update(profile=profile, known_infinitely_many=profile.gaps_recur)
     reordered = profile.reordered
     eventual = profile.eventual
     if eventual is None:
-        return base
+        return Verdict(VerdictKind.UNDETERMINED, **shared)
 
     if eventual.kind is EventualKind.EVENTUALLY_BOUND:
         if (
@@ -393,16 +404,16 @@ def classify(spec) -> Verdict:
             lower_exp = eventual.exceed_count
             upper_exp = eventual.after
         lower = 2**lower_exp
-        return replace(
-            base,
-            kind=VerdictKind.FINITE_UNION,
+        return Verdict(
+            VerdictKind.FINITE_UNION,
             component_lower=lower,
             component_upper=2**upper_exp,
             component_count=_exact_component_count(profile.view, eventual.after, lower),
+            **shared,
         )
 
     if eventual.kind is EventualKind.ALL_EXCEED:
-        return replace(base, kind=VerdictKind.CANTOR_SET, certificate="AllExceed")
+        return Verdict(VerdictKind.CANTOR_SET, certificate="AllExceed", **shared)
 
     # Exceeds infinitely often. On a prefix-free two-ratio reordering (the
     # spec itself: reordering a non-monotone one yields a merge), that means
@@ -414,21 +425,21 @@ def classify(spec) -> Verdict:
         and len(tail.ratios) == 2
         and tail.period_factor < QUARTER
     ):
-        return replace(base, kind=VerdictKind.CANTOR_SET, certificate="LambdaBelowQuarter")
+        return Verdict(VerdictKind.CANTOR_SET, certificate="LambdaBelowQuarter", **shared)
 
     try:
         digit_base, numerators = digit_form(reordered)
     except NotDigitForm:
-        return base
+        return Verdict(VerdictKind.UNDETERMINED, **shared)
     certificate = digit_coverage_test(digit_base, numerators)
     if certificate is None:
-        return base
-    return replace(
-        base,
-        kind=VerdictKind.SYMMETRIC_CANTORVAL,
+        return Verdict(VerdictKind.UNDETERMINED, **shared)
+    return Verdict(
+        VerdictKind.SYMMETRIC_CANTORVAL,
         certificate="DigitCoverage",
         strength="Proven" if reordered == abs_spec else "PaperPresumed",
         digit_certificate=certificate,
+        **shared,
     )
 
 

@@ -10,10 +10,13 @@ nonincreasing; each adds drop (what is left after its first terms),
 count_above (how many terms exceed a value, with no walk) and its
 tail-sum enclosure. So the spec-level functions ask the tail instead
 of branching on its kind. geometric_strands is the one reading of a tail
-as geometric strands with a common ratio. Terms are exact Fractions. A
-tail sum is an enclosure [lo, hi] of a positive sum with lo a finite
-Fraction: exact, a rigorous rational bracket (power sums use the
-integral test and can be refined by summing more terms explicitly), or
+as geometric strands with a common ratio; MultiGeometricTail.from_strands
+is the one way back. geometric(), the strands of nonincreasing_reorder
+and self_similar's view are built with it, from heads and a ratio, so no
+ratios are turned back into heads. Terms are exact Fractions. A tail sum
+is an enclosure [lo, hi] of a positive sum with lo a finite Fraction:
+exact, a rigorous rational bracket (power sums use the integral test and
+can be refined by summing more terms explicitly), or
 divergent, with hi None. term_tail_relations compares every term
 with its tail: by one running subtraction from the total when it is
 exact, index by index through compare_term_tail when it is inexact, and
@@ -57,6 +60,7 @@ HEAD_TERM_CAP = 1 << 11
 
 # (numerator, denominator) of a Fraction, already in lowest terms.
 _as_pair = operator.attrgetter("numerator", "denominator")
+_first = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -220,14 +224,19 @@ class MultiGeometricTail(_Tail):
     total is the whole tail sum X_0; each step removes the proportion
     r_(i mod m) of what remains, so all terms and tail sums are exact.
     One proportion r is the geometric tail with ratio 1 - r. heads holds
-    the first m terms and period_factor the product of the 1 - r_j, so
-    term i + m is period_factor times term i.
+    the first m terms and period_factor q the product of the 1 - r_j, so
+    term i + m is q times term i: strand j is heads[j] * q^w, w = 0, 1, ...
+    from_strands builds the tail from heads and q, deriving the ratios and
+    total. nonincreasing is computed once from the heads: within a period
+    it needs h_(j+1) <= h_j, and across periods q h_0 <= h_(m-1), after
+    which the pattern repeats scaled by q.
     """
 
     ratios: tuple
     total: Fraction
     heads: tuple = field(init=False, repr=False, compare=False)
     period_factor: Fraction = field(init=False, repr=False, compare=False)
+    nonincreasing: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ratios = tuple(as_fraction(r) for r in self.ratios)
@@ -243,27 +252,49 @@ class MultiGeometricTail(_Tail):
         for r in ratios:
             heads.append(r * rest)
             rest -= heads[-1]
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "heads", tuple(heads))
-        object.__setattr__(self, "period_factor", rest / total)
+        self._store(ratios, total, tuple(heads), rest / total)
 
-    @property
-    def nonincreasing(self) -> bool:
-        # x_{i+1} <= x_i iff r_i <= r_{i-1} / (1 - r_{i-1}); the pattern is
-        # periodic, so the cyclic conditions cover every i.
-        rs = self.ratios
-        m = len(rs)
-        return all(rs[(j + 1) % m] <= rs[j] / (1 - rs[j]) for j in range(m))
+    @classmethod
+    def from_strands(cls, heads, q) -> MultiGeometricTail:
+        """The tail whose strand j is heads[j] * q^w, heads and q stored as given."""
+        if not heads or any(head <= 0 for head in heads):
+            raise ValueError("strand heads must be positive")
+        if not 0 < q < 1:
+            raise ValueError("period factor must lie strictly between 0 and 1")
+        total = sum(heads, start=ZERO) / (1 - q)
+        ratios = []
+        rest = total
+        for head in heads:
+            ratios.append(head / rest)
+            rest -= head
+        tail = cls.__new__(cls)
+        tail._store(tuple(ratios), total, tuple(heads), q)
+        return tail
+
+    def _store(self, ratios, total, heads, q) -> None:
+        # The instance is frozen, so its fields are written to its __dict__.
+        self.__dict__.update(
+            ratios=ratios, total=total, heads=heads, period_factor=q,
+            nonincreasing=all(map(operator.le, heads[1:], heads)) and q * heads[0] <= heads[-1],
+        )
 
     def remaining(self, count: int) -> Fraction:
         # Exact tail sum after the first `count` terms.
+        if not count:
+            return self.total
         whole, part = divmod(count, len(self.ratios))
         return (self.total - sum(self.heads[:part], start=ZERO)) * self.period_factor**whole
 
     def term(self, index: int) -> Fraction:
         whole, part = divmod(index - 1, len(self.ratios))
         return self.heads[part] * self.period_factor**whole
+
+    def terms(self) -> Iterator[Fraction]:
+        # Each period is the last one times q: one product per term.
+        period, q = self.heads, self.period_factor
+        while True:
+            yield from period
+            period = [head * q for head in period]
 
     def drop(self, count: int) -> SequenceSpec:
         m = len(self.ratios)
@@ -324,23 +355,12 @@ class MergeTail(_Tail):
 
     def walk(self) -> Iterator[tuple]:
         """(value, part index) pairs in merged order; ties go to the lower index."""
-        streams = [part.terms() for part in self.parts]
-        heap = []
-        for idx, stream in enumerate(streams):
-            head = next(stream, None)
-            if head is not None:
-                heap.append((-head, idx))
-        heapq.heapify(heap)
-        while heap:
-            value, idx = heapq.heappop(heap)
-            yield -value, idx
-            head = next(streams[idx], None)
-            if head is not None:
-                heapq.heappush(heap, (-head, idx))
+        streams = (zip(part.terms(), itertools.repeat(idx)) for idx, part in enumerate(self.parts))
+        # heapq.merge is stable: equal values leave in the order of their streams.
+        return heapq.merge(*streams, key=_first, reverse=True)
 
     def terms(self) -> Iterator[Fraction]:
-        for value, _ in self.walk():
-            yield value
+        return map(_first, self.walk())
 
     def term_count(self) -> Optional[int]:
         counts = [part.term_count() for part in self.parts]
@@ -507,8 +527,7 @@ def geometric(first, ratio, prefix=()) -> SequenceSpec:
         raise ValueError("geometric first term must be positive")
     if not 0 < ratio < 1:
         raise ValueError("geometric ratio must lie strictly between 0 and 1")
-    kind = MultiGeometricTail((1 - ratio,), first / (1 - ratio))
-    return SequenceSpec(tuple(prefix), kind)
+    return SequenceSpec(tuple(prefix), MultiGeometricTail.from_strands((first,), ratio))
 
 
 def power_sum(exponent: int, start: int = 1, prefix=()) -> SequenceSpec:
@@ -571,7 +590,10 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
         return sorted_prefix
     kind = spec.tail
     if isinstance(kind, MultiGeometricTail):
-        body = _wrap_merge(geometric(head, kind.period_factor) for head in kind.heads)
+        q = kind.period_factor
+        body = _wrap_merge(
+            SequenceSpec((), MultiGeometricTail.from_strands((head,), q)) for head in kind.heads
+        )
     else:
         body = SequenceSpec((), kind)
     if not spec.prefix:
@@ -609,10 +631,10 @@ def geometric_strands(tail) -> Optional[tuple]:
     kinds = [part.tail for part in tail.parts]
     if not all(isinstance(kind, MultiGeometricTail) and len(kind.ratios) == 1 for kind in kinds):
         return None
-    ratios = {kind.period_factor for kind in kinds}
-    if len(ratios) > 1:
+    q = kinds[0].period_factor
+    if any(kind.period_factor != q for kind in kinds):
         return None
-    return tuple(kind.heads[0] for kind in kinds), ratios.pop()
+    return tuple(kind.heads[0] for kind in kinds), q
 
 
 def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
@@ -621,8 +643,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     A multi-geometric tail is its own view. A merge of m geometric strands
     with one common ratio q is walked until every strand has given its
     first term, at merged position k; the view's prefix is the spec's
-    prefix plus the first k - m merged terms, and its proportions come
-    from the next m terms. Returns None for any other tail. Raises
+    prefix plus the first k - m merged terms, and its tail is from_strands
+    of the next m terms and q. Returns None for any other tail. Raises
     CapExceeded when HEAD_TERM_CAP merged terms are walked and some strand
     has still not started.
 
@@ -652,14 +674,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
             break
         if len(walked) == HEAD_TERM_CAP:
             raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
-    head, window = walked[:-m], walked[-m:]
-    total = sum(window, start=ZERO) / (1 - q)
-    ratios = []
-    rest = total
-    for value in window:
-        ratios.append(value / rest)
-        rest -= value
-    return multi_geometric(ratios, total, spec.prefix + tuple(head))
+    view = MultiGeometricTail.from_strands(walked[-m:], q)
+    return SequenceSpec(spec.prefix + tuple(walked[:-m]), view)
 
 
 # --- summability and sign handling -------------------------------------------

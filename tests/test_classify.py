@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsums as S
-from subsums.classify import COUNT_CAP, EventualKind
+from subsums.classify import COUNT_CAP, EventualKind, _pseries_bound_threshold
 from subsums.sequences import HEAD_TERM_CAP, REFINEMENT_STEPS
 
 EX = S.TermTailRelation.TERM_EXCEEDS_TAIL
@@ -73,6 +73,18 @@ def test_pseries_threshold_brackets_direct_comparisons():
                 assert rel is EX
             if n >= n_threshold:
                 assert rel is BD
+
+
+
+def test_pseries_threshold_matches_the_linear_scan():
+    def scan(p):
+        n = 1
+        while (n + 1) * F(n, n + 1) ** p < p - 1:
+            n += 1
+        return n
+
+    for p in range(2, 301):
+        assert _pseries_bound_threshold(p) == scan(p)
 
 
 def test_profile_multigeometric_period():
@@ -545,6 +557,26 @@ def test_finite_union_counts_stay_constant():
     for spec, expected in checks:
         for n in range(2, 11, 2):
             assert S.build_cn(spec, n).fattened.components == expected
+
+
+
+def test_grid_and_preset_verdicts_agree_with_the_oracle():
+    # AllExceed means every depth splits fully; an eventually-bound pattern
+    # means the cover's components are the set's from the last gap on.
+    verdicts = [cell.verdict for cell in S.sweep(21).cells]
+    verdicts += [S.classify(spec) for _, spec in sorted(S.PRESETS.items())]
+    all_exceed = bound = 0
+    for verdict in verdicts:
+        profile = verdict.profile
+        if verdict.certificate == "AllExceed":
+            all_exceed += 1
+            for n in (6, 10):
+                assert S.oracle_cn(profile.view, n).components == 2**n
+        elif profile is not None and profile.eventual.kind is EventualKind.EVENTUALLY_BOUND:
+            bound += 1
+            for n in range(profile.eventual.after, 11):
+                assert S.oracle_cn(profile.view, n).components == verdict.component_count
+    assert (all_exceed, bound) == (177, 158)
 
 
 def test_pseries_component_count_within_bounds():

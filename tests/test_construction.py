@@ -3,7 +3,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import subsums as S
@@ -217,6 +217,46 @@ def test_fold_matches_enumeration(spec, depth, cap):
         assert result.inner == S.IntervalUnion(S.ClosedInterval(s, s + tail.lo) for s in sums)
         assert S.is_subset(result.inner, result.fattened)
     assert S.is_subset(S.build_cn(spec, depth + 1).fattened, result.fattened)
+
+
+_multi_geometric_specs = st.builds(
+    S.multi_geometric,
+    st.lists(_ratios, min_size=1, max_size=3),
+    _values,
+    st.lists(_values, max_size=2),
+)
+
+
+def _scaled(union, c):
+    return S.IntervalUnion.from_numerators(
+        union.den * c.denominator,
+        [v * c.numerator for v in union.lo],
+        [v * c.numerator for v in union.hi],
+    )
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(_multi_geometric_specs, _values, st.integers(0, 10))
+def test_cover_of_a_scaled_spec_is_the_scaled_cover(spec, c, depth):
+    ratios, total = spec.tail.ratios, spec.tail.total
+    scaled = S.multi_geometric(ratios, c * total, tuple(c * v for v in spec.prefix))
+    cover, scaled_cover = S.build_cn(spec, depth), S.build_cn(scaled, depth)
+    assert scaled_cover.fattened == _scaled(cover.fattened, c)
+    assert scaled_cover.inner is cover.inner is None
+    assert scaled_cover.tail_used.value == c * cover.tail_used.value
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(_multi_geometric_specs, st.integers(0, 10))
+def test_cover_keeps_its_shape_when_strands_are_regrouped(spec, depth):
+    # Strand h with factor q holds the same terms as strands h and h*q with
+    # factor q^2, so the non-increasing reorderings list the same terms.
+    heads, q = spec.tail.heads, spec.tail.period_factor
+    strands = [S.geometric(h, q * q) for h in heads] + [S.geometric(h * q, q * q) for h in heads]
+    regrouped = S.MergedSpec(tuple(strands) + ((S.finite(spec.prefix),) if spec.prefix else ()))
+    assert S.build_cn(S.nonincreasing_reorder(spec), depth) == S.build_cn(regrouped, depth)
 
 
 # --- the paper's IFS tiling and gap structure, checked on the covers ----------

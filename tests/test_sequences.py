@@ -1,4 +1,5 @@
 """Sequence kinds: terms, tails, reordering, signs, comparisons."""
+import dataclasses
 import heapq
 import itertools
 import math
@@ -316,6 +317,67 @@ def test_geometric_tail_equals_the_constructed_one(first, ratio):
     assert tail == built and hash(tail) == hash(built)
     # The head is the first term and each period scales by the ratio.
     assert (tail.heads, tail.period_factor) == ((first,), ratio)
+
+
+def _fields(tail):
+    return {f.name: getattr(tail, f.name) for f in dataclasses.fields(tail)}
+
+
+@given(st.lists(_values, min_size=1, max_size=4), _ratios)
+def test_from_strands_equals_the_tail_built_from_ratios(heads, q):
+    tail = S.MultiGeometricTail.from_strands(tuple(heads), q)
+    total = sum(heads, start=F(0)) / (1 - q)
+    ratios = []
+    rest = total
+    for head in heads:
+        ratios.append(head / rest)
+        rest -= head
+    built = S.MultiGeometricTail(tuple(ratios), total)
+    # Every field, heads, period_factor and nonincreasing included.
+    assert _fields(tail) == _fields(built)
+    assert (tail.heads, tail.period_factor) == (tuple(heads), q)
+    assert tail == built and hash(tail) == hash(built)
+
+
+def _ratio_rule(ratios):
+    """x_{i+1} <= x_i iff r_(i+1) <= r_i / (1 - r_i), cyclically over the period."""
+    m = len(ratios)
+    return all(ratios[(j + 1) % m] <= ratios[j] / (1 - ratios[j]) for j in range(m))
+
+
+@given(st.lists(_ratios, min_size=1, max_size=4), _values)
+@example([F(1, 2), F(1, 2)], F(1))
+@example([F(1, 3), F(1, 2)], F(1))
+def test_stored_nonincreasing_is_the_ratio_rule(ratios, total):
+    tail = S.MultiGeometricTail(tuple(ratios), total)
+    assert tail.nonincreasing == _ratio_rule(tail.ratios)
+    strands = S.MultiGeometricTail.from_strands(tail.heads, tail.period_factor)
+    assert strands.nonincreasing == tail.nonincreasing
+    terms = take(S.SequenceSpec((), tail), 3 * len(ratios) + 1)
+    assert tail.nonincreasing == all(b <= a for a, b in zip(terms, terms[1:]))
+
+
+@given(st.lists(_ratios, min_size=1, max_size=4), _values)
+def test_terms_stream_equals_term(ratios, total):
+    tail = S.MultiGeometricTail(tuple(ratios), total)
+    count = 3 * len(ratios) + 2
+    assert list(itertools.islice(tail.terms(), count)) == [tail.term(i) for i in range(1, count + 1)]
+    assert tail.remaining(0) is tail.total
+
+
+def test_merge_of_equal_strands_alternates_part_indices():
+    strand = S.geometric(F(1, 2), F(1, 3))
+    walk = S.MergeTail((strand, strand)).walk()
+    assert [idx for _, idx in itertools.islice(walk, 10)] == [0, 1] * 5
+
+
+def test_from_strands_validation():
+    for heads in ((), (F(0),), (F(1), F(-1, 2))):
+        with pytest.raises(ValueError, match="strand heads must be positive"):
+            S.MultiGeometricTail.from_strands(heads, F(1, 2))
+    for q in (F(0), F(1), F(3, 2)):
+        with pytest.raises(ValueError, match="period factor must lie strictly between 0 and 1"):
+            S.MultiGeometricTail.from_strands((F(1),), q)
 
 
 @settings(max_examples=40, deadline=None)
