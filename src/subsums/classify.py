@@ -56,7 +56,6 @@ from .sequences import (
     term_tail_relations,
 )
 
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 # Component cap of the covers classify builds to count components.
@@ -189,8 +188,14 @@ def _analytic_eventual(view: SequenceSpec):
         return verdict, (kind.exponent - 1, threshold)
     if not isinstance(kind, MultiGeometricTail):
         return None, None
-    # r > 1/2 says x_i > X_i; with one proportion, the ratio 1 - r < 1/2.
-    pattern = [r > HALF for r in kind.ratios]
+    # Term i exceeds its tail X_i exactly when its proportion is above 1/2
+    # (with one proportion r, when the ratio 1 - r < 1/2). One period of
+    # subtractions from the total reads that without the proportions.
+    pattern = []
+    rest = kind.total
+    for head in kind.heads:
+        rest -= head
+        pattern.append(head > rest)
     verdict = _region_verdict(view, len(view.prefix), "multigeometric-period", pattern)
     return verdict, None
 
@@ -422,7 +427,7 @@ def classify(spec) -> Verdict:
     if (
         not reordered.prefix
         and isinstance(tail, MultiGeometricTail)
-        and len(tail.ratios) == 2
+        and len(tail.heads) == 2
         and tail.period_factor < QUARTER
     ):
         return Verdict(VerdictKind.CANTOR_SET, certificate="LambdaBelowQuarter", **shared)

@@ -13,7 +13,7 @@ from typing import Optional
 from .classify import Verdict, VerdictKind, classify
 from .errors import EmptyUnion
 from .intervals import IntervalUnion
-from .sequences import is_nonincreasing, multi_geometric
+from .sequences import multi_geometric
 
 # Bar chart size in pixels, and the minimum bar width, so hairline
 # components stay visible.
@@ -42,10 +42,6 @@ def _px(numerator: int, denominator: int = 1) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     return f"{sign}{q // 100}.{q % 100:02d}"
-
-
-def _px_of(value: Fraction) -> str:
-    return _px(value.numerator, value.denominator)
 
 
 def bar_chart(u: IntervalUnion, out_path: Optional[str] = None) -> str:
@@ -116,10 +112,11 @@ class SweepGrid:
 
 
 def _classify_cell(alpha: Fraction, beta: Fraction) -> SweepCell:
+    # The tail's period factor is lambda = (1 - alpha)(1 - beta), and a
+    # prefix-free spec is non-increasing exactly when its tail is.
     spec = multi_geometric((alpha, beta), Fraction(1))
-    verdict = classify(spec)
-    lam = (1 - alpha) * (1 - beta)
-    return SweepCell(alpha, beta, lam, verdict, is_nonincreasing(spec))
+    tail = spec.tail
+    return SweepCell(alpha, beta, tail.period_factor, classify(spec), tail.nonincreasing)
 
 
 def sweep(
@@ -171,10 +168,14 @@ def _write_csv(grid: SweepGrid, path: str) -> None:
 
 
 def sweep_svg_text(grid: SweepGrid) -> str:
-    """1000x1000 verdict map: alpha rightward, beta upward, hatch = infeasible."""
+    """1000x1000 verdict map: alpha rightward, beta upward, hatch = infeasible.
+
+    The cell at (alpha, beta) = (a/b, c/d) is a square of side size/denom
+    centred on (size a/b, size - size c/d). Each coordinate goes to _px as
+    one fraction of integers, so no Fraction is built per cell.
+    """
     size = 1000
     denom = grid.alpha_steps + 1
-    cell_px = Fraction(size, denom)
     side = _px(size, denom)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -188,13 +189,14 @@ def sweep_svg_text(grid: SweepGrid) -> str:
     ]
     marked = None
     for cell in grid.cells:
-        x_center = cell.alpha * size
-        y_center = size - cell.beta * size
         if (cell.alpha, cell.beta) == MARKED_CELL:
-            marked = (x_center, y_center, cell)
+            marked = cell
             continue
-        x = _px_of(x_center - cell_px / 2)
-        y = _px_of(y_center - cell_px / 2)
+        a, b = cell.alpha.numerator, cell.alpha.denominator
+        c, d = cell.beta.numerator, cell.beta.denominator
+        # The corner is the centre less half a side, size / (2 denom).
+        x = _px(size * (2 * a * denom - b), 2 * b * denom)
+        y = _px(size * (2 * (d - c) * denom - d), 2 * d * denom)
         fill = VERDICT_FILL[cell.verdict.kind]
         lines.append(
             f'<rect x="{x}" y="{y}" width="{side}" '
@@ -207,10 +209,12 @@ def sweep_svg_text(grid: SweepGrid) -> str:
                 f'height="{side}" fill="url(#hatch)"/>'
             )
     if marked is not None:
-        x_center, y_center, cell = marked
-        fill = VERDICT_FILL[cell.verdict.kind]
+        alpha, beta = marked.alpha, marked.beta
+        fill = VERDICT_FILL[marked.verdict.kind]
+        cx = _px(size * alpha.numerator, alpha.denominator)
+        cy = _px(size * (beta.denominator - beta.numerator), beta.denominator)
         lines.append(
-            f'<circle cx="{_px_of(x_center)}" cy="{_px_of(y_center)}" r="9" '
+            f'<circle cx="{cx}" cy="{cy}" r="9" '
             f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
         )
     lines.append("</svg>")

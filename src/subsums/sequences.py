@@ -11,12 +11,14 @@ count_above (how many terms exceed a value, with no walk) and its
 tail-sum enclosure. So the spec-level functions ask the tail instead
 of branching on its kind. geometric_strands is the one reading of a tail
 as geometric strands with a common ratio; MultiGeometricTail.from_strands
-is the one way back. geometric(), the strands of nonincreasing_reorder
-and self_similar's view are built with it, from heads and a ratio, so no
-ratios are turned back into heads. Terms are exact Fractions. A tail sum
-is an enclosure [lo, hi] of a positive sum with lo a finite Fraction:
-exact, a rigorous rational bracket (power sums use the integral test and
-can be refined by summing more terms explicitly), or
+is the one way back. geometric(), the strands of nonincreasing_reorder,
+drop and self_similar's view are built with it, from heads and a ratio,
+so no ratios are turned back into heads, and the ratios and total are
+derived only when read. Sign and range checks compare integer numerators
+(a Fraction's denominator is positive), not Fractions. Terms are exact
+Fractions. A tail sum is an enclosure [lo, hi] of a positive sum with lo
+a finite Fraction: exact, a rigorous rational bracket (power sums use the
+integral test and can be refined by summing more terms explicitly), or
 divergent, with hi None. term_tail_relations compares every term
 with its tail: by one running subtraction from the total when it is
 exact, index by index through compare_term_tail when it is inexact, and
@@ -77,19 +79,21 @@ class TailEnclosure:
     def __post_init__(self):
         lo = as_fraction(self.lo)
         hi = None if self.hi is None else as_fraction(self.hi)
-        if hi is not None and lo is not hi and lo > hi:
+        if hi is not None and lo is not hi and not _at_most(lo, hi):
             raise ValueError(f"enclosure out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, value) -> TailEnclosure:
-        value = as_fraction(value)
-        return cls(value, value)
+        # [v, v] is in order: one coercion, and __post_init__ is skipped.
+        point = cls.__new__(cls)
+        point.__dict__["lo"] = point.__dict__["hi"] = as_fraction(value)
+        return point
 
     @property
     def exact(self) -> bool:
-        return self.lo == self.hi
+        return self.lo is self.hi or self.lo == self.hi
 
     @property
     def value(self) -> Fraction:
@@ -98,6 +102,8 @@ class TailEnclosure:
         return self.lo
 
     def __add__(self, other: TailEnclosure) -> TailEnclosure:
+        if self.lo is self.hi and other.lo is other.hi:
+            return TailEnclosure.point(self.lo + other.lo)
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
         return TailEnclosure(self.lo + other.lo, hi)
 
@@ -112,6 +118,12 @@ def _integer_root(n: int, p: int) -> int:
         if step >= k:
             return k
         k = step
+
+
+def _at_most(a, b) -> bool:
+    """a <= b for rationals, by cross-multiplying their integer numerators
+    and positive denominators (no Fraction comparison)."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
 class _Tail:
@@ -226,10 +238,14 @@ class MultiGeometricTail(_Tail):
     One proportion r is the geometric tail with ratio 1 - r. heads holds
     the first m terms and period_factor q the product of the 1 - r_j, so
     term i + m is q times term i: strand j is heads[j] * q^w, w = 0, 1, ...
-    from_strands builds the tail from heads and q, deriving the ratios and
-    total. nonincreasing is computed once from the heads: within a period
-    it needs h_(j+1) <= h_j, and across periods q h_0 <= h_(m-1), after
-    which the pattern repeats scaled by q.
+    Terms, count_above, drop and the strand reading need only heads and q,
+    and code that needs only m reads len(heads). from_strands builds the
+    tail from heads and q alone: its ratios and total are derived on first
+    read, then stored, so repr, equality and hash are those of the tail
+    built from the ratios. nonincreasing is computed once from the heads:
+    within a period it needs h_(j+1) <= h_j, and across periods
+    q h_0 <= h_(m-1) (always true for one strand), after which the pattern
+    repeats scaled by q.
     """
 
     ratios: tuple
@@ -243,50 +259,66 @@ class MultiGeometricTail(_Tail):
         total = as_fraction(self.total)
         if not ratios:
             raise ValueError("at least one proportion is required")
-        if any(not 0 < r < 1 for r in ratios):
+        if any(not 0 < r.numerator < r.denominator for r in ratios):
             raise ValueError("proportions must lie strictly between 0 and 1")
-        if total <= 0:
+        if total.numerator <= 0:
             raise ValueError("total must be positive")
         heads = []
         rest = total
         for r in ratios:
             heads.append(r * rest)
             rest -= heads[-1]
-        self._store(ratios, total, tuple(heads), rest / total)
+        self.__dict__.update(ratios=ratios, total=total)
+        self._store(tuple(heads), rest / total)
 
     @classmethod
     def from_strands(cls, heads, q) -> MultiGeometricTail:
-        """The tail whose strand j is heads[j] * q^w, heads and q stored as given."""
-        if not heads or any(head <= 0 for head in heads):
+        """The tail whose strand j is heads[j] * q^w, heads and q stored as given.
+
+        The ratios and total are derived from them on first read.
+        """
+        if not heads or any(head.numerator <= 0 for head in heads):
             raise ValueError("strand heads must be positive")
-        if not 0 < q < 1:
+        if not 0 < q.numerator < q.denominator:
             raise ValueError("period factor must lie strictly between 0 and 1")
-        total = sum(heads, start=ZERO) / (1 - q)
-        ratios = []
-        rest = total
-        for head in heads:
-            ratios.append(head / rest)
-            rest -= head
         tail = cls.__new__(cls)
-        tail._store(tuple(ratios), total, tuple(heads), q)
+        tail._store(tuple(heads), q)
         return tail
 
-    def _store(self, ratios, total, heads, q) -> None:
+    def _store(self, heads, q) -> None:
         # The instance is frozen, so its fields are written to its __dict__.
         self.__dict__.update(
-            ratios=ratios, total=total, heads=heads, period_factor=q,
-            nonincreasing=all(map(operator.le, heads[1:], heads)) and q * heads[0] <= heads[-1],
+            heads=heads, period_factor=q,
+            nonincreasing=len(heads) == 1
+            or (all(map(_at_most, heads[1:], heads)) and _at_most(q * heads[0], heads[-1])),
         )
+
+    def __getattr__(self, name):
+        # Called only for what __dict__ lacks: a from_strands tail's total
+        # and ratios, each derived from the heads on first read and stored.
+        if name == "total":
+            value = sum(self.heads, start=ZERO) / (1 - self.period_factor)
+        elif name == "ratios":
+            ratios = []
+            rest = self.total
+            for head in self.heads:
+                ratios.append(head / rest)
+                rest -= head
+            value = tuple(ratios)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = value
+        return value
 
     def remaining(self, count: int) -> Fraction:
         # Exact tail sum after the first `count` terms.
         if not count:
             return self.total
-        whole, part = divmod(count, len(self.ratios))
+        whole, part = divmod(count, len(self.heads))
         return (self.total - sum(self.heads[:part], start=ZERO)) * self.period_factor**whole
 
     def term(self, index: int) -> Fraction:
-        whole, part = divmod(index - 1, len(self.ratios))
+        whole, part = divmod(index - 1, len(self.heads))
         return self.heads[part] * self.period_factor**whole
 
     def terms(self) -> Iterator[Fraction]:
@@ -297,9 +329,13 @@ class MultiGeometricTail(_Tail):
             period = [head * q for head in period]
 
     def drop(self, count: int) -> SequenceSpec:
-        m = len(self.ratios)
-        rotated = tuple(self.ratios[(count + j) % m] for j in range(m))
-        return SequenceSpec((), MultiGeometricTail(rotated, self.remaining(count)))
+        # The next m terms are the new heads; q is unchanged.
+        whole, part = divmod(count, len(self.heads))
+        q = self.period_factor
+        scale = q**whole
+        heads = [head * scale for head in self.heads[part:]]
+        heads += [head * scale * q for head in self.heads[:part]]
+        return SequenceSpec((), MultiGeometricTail.from_strands(tuple(heads), q))
 
     def count_above(self, g: Fraction) -> int:
         # Strand j holds heads[j] * q^w for w = 0, 1, ...; its count is the
@@ -352,6 +388,14 @@ class MergeTail(_Tail):
             if not is_nonincreasing(part):
                 raise ValueError("merge parts must be non-increasing")
         object.__setattr__(self, "parts", tuple(flat))
+
+    @classmethod
+    def _of_strands(cls, strands: tuple) -> MergeTail:
+        """The merge of prefix-free single strands, which are non-increasing
+        and endless by construction, so __post_init__ re-checks none."""
+        merge = cls.__new__(cls)
+        merge.__dict__["parts"] = strands
+        return merge
 
     def walk(self) -> Iterator[tuple]:
         """(value, part index) pairs in merged order; ties go to the lower index."""
@@ -413,7 +457,7 @@ class SequenceSpec:
         if not isinstance(self.tail, _TAIL_KINDS):
             raise UnsupportedKind(f"unknown tail kind {type(self.tail).__name__}")
         prefix = tuple(as_fraction(v) for v in self.prefix)
-        if any(v <= 0 for v in prefix):
+        if any(v.numerator <= 0 for v in prefix):
             raise ValueError("prefix terms must be positive")
         object.__setattr__(self, "prefix", prefix)
 
@@ -447,7 +491,7 @@ class SequenceSpec:
     def count_above(self, g) -> int:
         """Number of terms greater than g > 0, found with no walk or search."""
         g = as_fraction(g)
-        if g <= 0:
+        if g.numerator <= 0:
             raise ValueError("count_above needs a positive bound")
         return sum(1 for value in self.prefix if value > g) + self.tail.count_above(g)
 
@@ -523,9 +567,9 @@ def geometric(first, ratio, prefix=()) -> SequenceSpec:
     multi-geometric tail with proportion 1 - ratio."""
     first = as_fraction(first)
     ratio = as_fraction(ratio)
-    if first <= 0:
+    if first.numerator <= 0:
         raise ValueError("geometric first term must be positive")
-    if not 0 < ratio < 1:
+    if not 0 < ratio.numerator < ratio.denominator:
         raise ValueError("geometric ratio must lie strictly between 0 and 1")
     return SequenceSpec(tuple(prefix), MultiGeometricTail.from_strands((first,), ratio))
 
@@ -553,9 +597,10 @@ def is_nonincreasing(spec: SequenceSpec) -> bool:
     values = spec.prefix
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         return False
-    first = next(spec.tail.terms(), None)
-    if values and first is not None and values[-1] < first:
-        return False
+    if values:
+        first = next(spec.tail.terms(), None)
+        if first is not None and values[-1] < first:
+            return False
     return spec.tail.nonincreasing
 
 
@@ -583,17 +628,24 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     Power-sum and merge tails are already sorted; multi-geometric tails
     become a descending merge of their geometric strands (a geometric tail
     is its own one strand); an out-of-order prefix absorbs every tail term
-    at least as large as its smallest entry.
+    at least as large as its smallest entry. A spec that is already in
+    order is returned as is. Each strand is built by from_strands from one
+    head and q, so its proportion and total are never derived unless read,
+    and the merge takes the strands as built (MergeTail._of_strands): one
+    strand is non-increasing and endless, so nothing is re-checked.
     """
-    sorted_prefix = SequenceSpec(tuple(sorted(spec.prefix, reverse=True)), spec.tail)
+    prefix = tuple(sorted(spec.prefix, reverse=True))
+    sorted_prefix = spec if prefix == spec.prefix else SequenceSpec(prefix, spec.tail)
     if is_nonincreasing(sorted_prefix):
         return sorted_prefix
     kind = spec.tail
     if isinstance(kind, MultiGeometricTail):
         q = kind.period_factor
-        body = _wrap_merge(
+        strands = tuple(
             SequenceSpec((), MultiGeometricTail.from_strands((head,), q)) for head in kind.heads
         )
+        # As _wrap_merge does, one prefix-free part stands unwrapped.
+        body = strands[0] if len(strands) == 1 else SequenceSpec((), MergeTail._of_strands(strands))
     else:
         body = SequenceSpec((), kind)
     if not spec.prefix:
@@ -629,7 +681,7 @@ def geometric_strands(tail) -> Optional[tuple]:
     if not isinstance(tail, MergeTail) or any(part.prefix for part in tail.parts):
         return None
     kinds = [part.tail for part in tail.parts]
-    if not all(isinstance(kind, MultiGeometricTail) and len(kind.ratios) == 1 for kind in kinds):
+    if not all(isinstance(kind, MultiGeometricTail) and len(kind.heads) == 1 for kind in kinds):
         return None
     q = kinds[0].period_factor
     if any(kind.period_factor != q for kind in kinds):
@@ -719,10 +771,12 @@ def positive_spec(spec) -> SequenceSpec:
     merge of its parts, the positive part of sign_split. Raises ValueError
     when the merge has a negative part.
     """
+    if isinstance(spec, SequenceSpec):
+        return spec
     merged = as_merged(spec)
     if merged.negative:
         raise ValueError("expected positive specs; this merge has negative parts")
-    return spec if isinstance(spec, SequenceSpec) else combine_parts(merged.positive)
+    return combine_parts(merged.positive)
 
 
 def summability_of(plus: TailEnclosure, minus: TailEnclosure) -> SummabilityClass:

@@ -100,7 +100,7 @@ def load_spec(data):
 def _dump_tail(kind):
     if isinstance(kind, FiniteTail):
         return None
-    if isinstance(kind, MultiGeometricTail) and len(kind.ratios) == 1:
+    if isinstance(kind, MultiGeometricTail) and len(kind.heads) == 1:
         return {
             "kind": "geometric",
             "a": format_rational(kind.heads[0]),

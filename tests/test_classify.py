@@ -1,11 +1,12 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
+import random
 import sys
 import time
 from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import subsums as S
@@ -218,6 +219,28 @@ def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
     assert not any(isinstance(s.tail, S.MergeTail) for s in compared)
 
 
+def test_classify_reads_reorder_strands_as_built(monkeypatch):
+    # The reordering's strands come from from_strands, so the merge takes
+    # them unchecked, and classify only walks them: no strand's proportion
+    # or total is derived, and no proportion of the view either.
+    checked = []
+    init = S.MergeTail.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        init(self)
+
+    monkeypatch.setattr(S.MergeTail, "__post_init__", counted)
+    profile = S.classify(S.PRESETS["kenyon"]).profile
+    strands = profile.reordered.tail.parts
+    assert checked == []
+    assert len(strands) == 2
+    for strand in strands:
+        assert "ratios" not in vars(strand.tail) and "total" not in vars(strand.tail)
+    # The view's period pattern is read from its heads and total.
+    assert "ratios" not in vars(profile.view.tail)
+
+
 def test_classify_thirds_cantor():
     verdict = S.classify(S.PRESETS["thirds"])
     assert verdict.kind is S.VerdictKind.CANTOR_SET
@@ -427,6 +450,18 @@ def test_classify_large_power_sum_in_budget():
     )
 
 
+def test_classify_power_sum_400_in_budget():
+    # 1.0-1.5 s in process on 2 shared vCPUs (CPython 3.11): 575 head
+    # indices, each compared on its own bracket.
+    start = time.perf_counter()
+    verdict = S.classify(S.power_sum(400))
+    assert time.perf_counter() - start < 5
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert (verdict.component_lower, verdict.component_upper) == (2**399, 2**704)
+    assert verdict.component_count is None
+    assert verdict.profile.eventual.after == verdict.profile.eventual.exceed_count == 575
+
+
 def test_classify_long_geometric_head_in_budget():
     # The self-similar view has a prefix of 462 terms, compared with their
     # tails in one pass instead of one prefix sum per index.
@@ -479,6 +514,49 @@ def test_classify_scaling_invariance():
             S.classify(S.multi_geometric((F(2, 5), F(3, 5)), c)).kind
             is S.VerdictKind.CANTOR_SET
         )
+
+
+_ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)
+_values = st.fractions(min_value=F(1, 20), max_value=F(3), max_denominator=20)
+_prefixes = st.lists(_values, max_size=2).map(tuple)
+
+
+def _scale(spec, c):
+    """c times every term of a prefixed multi-geometric spec or merge of them."""
+    if isinstance(spec, S.MergedSpec):
+        return S.MergedSpec(tuple(_scale(part, c) for part in spec.positive))
+    tail = spec.tail
+    return S.multi_geometric(tail.ratios, c * tail.total, tuple(c * v for v in spec.prefix))
+
+
+_scalable_specs = st.one_of(
+    # Every preset but the harmonic one: each certificate is drawn.
+    st.sampled_from([spec for name, spec in sorted(S.PRESETS.items()) if name != "harmonic"]),
+    st.builds(S.multi_geometric, st.lists(_ratios, min_size=1, max_size=3), _values, _prefixes),
+    st.builds(S.geometric, _values, _ratios, st.lists(_values, min_size=1, max_size=2).map(tuple)),
+)
+_scalable_specs = st.one_of(
+    _scalable_specs,
+    st.lists(_scalable_specs, min_size=2, max_size=3).map(lambda parts: S.MergedSpec(tuple(parts))),
+)
+
+
+@seed(27)
+@settings(max_examples=100, deadline=None)
+@given(_scalable_specs, st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9))
+def test_classify_of_a_scaled_spec_is_the_scaled_verdict(spec, c):
+    # C_n(c x) = c C_n(x) at every depth, so every proof reads the same.
+    try:
+        verdict = S.classify(spec)
+    except S.CapExceeded:
+        with pytest.raises(S.CapExceeded):
+            S.classify(_scale(spec, c))
+        return
+    scaled = S.classify(_scale(spec, c))
+    same = ("kind", "certificate", "strength", "component_lower", "component_upper", "component_count")
+    assert [getattr(scaled, name) for name in same] == [getattr(verdict, name) for name in same]
+    assert (scaled.hull_lo, scaled.hull_hi) == (c * verdict.hull_lo, c * verdict.hull_hi)
+    assert scaled.translation == c * verdict.translation == 0
 
 
 def test_classify_propagates_indeterminate():
@@ -560,23 +638,58 @@ def test_finite_union_counts_stay_constant():
 
 
 
+def _check_against_the_oracle(verdict) -> str:
+    """Confirm an AllExceed or eventually-bound verdict on oracle_cn, n <= 10.
+
+    AllExceed means every depth splits fully; an eventually-bound pattern
+    means the cover's components are the set's from the last gap on.
+    Returns which of the two it confirmed, or "" for any other verdict and
+    for a last gap past depth 10.
+    """
+    profile = verdict.profile
+    if verdict.certificate == "AllExceed":
+        for n in (6, 10):
+            assert S.oracle_cn(profile.view, n).components == 2**n
+        return "all-exceed"
+    eventual = profile.eventual if profile is not None else None
+    if eventual is not None and eventual.kind is EventualKind.EVENTUALLY_BOUND and eventual.after <= 10:
+        for n in range(eventual.after, 11):
+            assert S.oracle_cn(profile.view, n).components == verdict.component_count
+        return "bound"
+    return ""
+
+
 def test_grid_and_preset_verdicts_agree_with_the_oracle():
-    # AllExceed means every depth splits fully; an eventually-bound pattern
-    # means the cover's components are the set's from the last gap on.
     verdicts = [cell.verdict for cell in S.sweep(21).cells]
     verdicts += [S.classify(spec) for _, spec in sorted(S.PRESETS.items())]
-    all_exceed = bound = 0
-    for verdict in verdicts:
-        profile = verdict.profile
-        if verdict.certificate == "AllExceed":
-            all_exceed += 1
-            for n in (6, 10):
-                assert S.oracle_cn(profile.view, n).components == 2**n
-        elif profile is not None and profile.eventual.kind is EventualKind.EVENTUALLY_BOUND:
-            bound += 1
-            for n in range(profile.eventual.after, 11):
-                assert S.oracle_cn(profile.view, n).components == verdict.component_count
-    assert (all_exceed, bound) == (177, 158)
+    confirmed = [_check_against_the_oracle(verdict) for verdict in verdicts]
+    assert (confirmed.count("all-exceed"), confirmed.count("bound")) == (177, 158)
+
+
+def test_seeded_verdicts_agree_with_the_oracle():
+    # Seeded multi-geometric specs with one to three proportions, geometric
+    # specs, each with up to two prefix terms, and merges of two of them.
+    rng = random.Random(27)
+
+    def ratio():
+        return F(rng.randint(1, 11), 12)
+
+    def value():
+        return F(rng.randint(1, 30), rng.randint(1, 20))
+
+    def spec():
+        prefix = tuple(value() for _ in range(rng.randrange(3)))
+        if rng.random() < 0.5:
+            return S.multi_geometric([ratio() for _ in range(rng.randint(1, 3))], value(), prefix)
+        return S.geometric(value(), ratio(), prefix)
+
+    confirmed = []
+    for _ in range(240):
+        merged = rng.random() < 0.25
+        verdict = S.classify(S.MergedSpec((spec(), spec())) if merged else spec())
+        confirmed.append(_check_against_the_oracle(verdict))
+    assert confirmed.count("all-exceed") + confirmed.count("bound") >= 100
+    assert confirmed.count("all-exceed") > 0 and confirmed.count("bound") > 0
 
 
 def test_pseries_component_count_within_bounds():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import subsums as S
-from subsums.render import MARKED_CELL, _px, sweep_csv_text, sweep_svg_text
+from subsums.render import MARKED_CELL, VERDICT_FILL, _px, sweep_csv_text, sweep_svg_text
 
 
 def test_bar_chart_deterministic():
@@ -119,6 +119,45 @@ def test_sweep_svg_structure():
     assert "<circle" in svg
     assert "hatch" in svg
     assert svg.count("<rect") >= 4
+
+
+def _fraction_cell_elements(grid):
+    """The map's cell rects, hatch rects and marked circle, placed with
+    Fraction arithmetic and quantised by _fraction_px: the formula that the
+    integer placement replaced."""
+    size = 1000
+    cell_px = F(size, grid.alpha_steps + 1)
+    side = _fraction_px(cell_px)
+    rects, circle = [], []
+    for cell in grid.cells:
+        x_center, y_center = cell.alpha * size, size - cell.beta * size
+        fill = VERDICT_FILL[cell.verdict.kind]
+        if (cell.alpha, cell.beta) == MARKED_CELL:
+            circle.append(
+                f'<circle cx="{_fraction_px(x_center)}" cy="{_fraction_px(y_center)}" r="9" '
+                f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
+            )
+            continue
+        x, y = _fraction_px(x_center - cell_px / 2), _fraction_px(y_center - cell_px / 2)
+        rects.append(
+            f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="{fill}" '
+            f'stroke="#dddddd" stroke-width="0.5"/>'
+        )
+        if not cell.feasible:
+            rects.append(f'<rect x="{x}" y="{y}" width="{side}" height="{side}" fill="url(#hatch)"/>')
+    return rects + circle
+
+
+@pytest.mark.parametrize("resolution", range(2, 10))
+def test_sweep_svg_places_cells_as_the_fraction_formula(resolution):
+    grid = S.sweep(resolution)
+    lines = sweep_svg_text(grid).split("\n")
+    # Seven header lines come first; "</svg>" and a final newline end it.
+    body = lines[7:-2]
+    assert lines[-2:] == ["</svg>", ""]
+    assert body == _fraction_cell_elements(grid)
+    hatched = sum(not cell.feasible for cell in grid.cells[:-1])
+    assert len(body) == resolution**2 + hatched + 1 and body[-1].startswith("<circle")
 
 
 def test_sweep_outputs_deterministic(tmp_path):

@@ -338,6 +338,21 @@ def test_from_strands_equals_the_tail_built_from_ratios(heads, q):
     assert (tail.heads, tail.period_factor) == (tuple(heads), q)
     assert tail == built and hash(tail) == hash(built)
 
+    # The ratios and total are derived on first read. Each read below is
+    # the first on a fresh tail, so none relies on another.
+    def fresh():
+        tail = S.MultiGeometricTail.from_strands(tuple(heads), q)
+        assert "ratios" not in vars(tail) and "total" not in vars(tail)
+        return tail
+
+    assert fresh().ratios == built.ratios and fresh().total == built.total
+    assert fresh() == built and built == fresh()
+    assert hash(fresh()) == hash(built) and repr(fresh()) == repr(built)
+    for k in range(3 * len(heads) + 1):
+        dropped = fresh().drop(k)
+        assert dropped == built.drop(k) and repr(dropped) == repr(built.drop(k))
+        assert fresh().remaining(k) == built.remaining(k)
+
 
 def _ratio_rule(ratios):
     """x_{i+1} <= x_i iff r_(i+1) <= r_i / (1 - r_i), cyclically over the period."""
@@ -369,6 +384,12 @@ def test_merge_of_equal_strands_alternates_part_indices():
     strand = S.geometric(F(1, 2), F(1, 3))
     walk = S.MergeTail((strand, strand)).walk()
     assert [idx for _, idx in itertools.islice(walk, 10)] == [0, 1] * 5
+
+
+def test_from_strands_tail_reads_no_other_missing_attribute():
+    tail = S.MultiGeometricTail.from_strands((F(1, 2),), F(1, 3))
+    with pytest.raises(AttributeError, match="no attribute 'heights'"):
+        tail.heights
 
 
 def test_from_strands_validation():
