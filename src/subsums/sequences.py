@@ -758,8 +758,11 @@ def sign_split(spec) -> tuple:
 
     Both parts are positive specs; the negative part is given by its
     absolute values. Each part's total() is its sum, an enclosure whose
-    hi is None when the part diverges.
+    hi is None when the part diverges. A SequenceSpec is its own positive
+    part (an empty finite spec equals EMPTY), with no merge built.
     """
+    if isinstance(spec, SequenceSpec):
+        return spec, EMPTY
     merged = as_merged(spec)
     return combine_parts(merged.positive), combine_parts(merged.negative)
 

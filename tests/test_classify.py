@@ -2,7 +2,7 @@
 import random
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -239,6 +239,23 @@ def test_classify_reads_reorder_strands_as_built(monkeypatch):
         assert "ratios" not in vars(strand.tail) and "total" not in vars(strand.tail)
     # The view's period pattern is read from its heads and total.
     assert "ratios" not in vars(profile.view.tail)
+
+
+def test_classify_of_a_plain_spec_builds_no_merge(monkeypatch):
+    # A SequenceSpec is its own positive part: sign_split hands it back
+    # with EMPTY and wraps it in no MergedSpec.
+    built = []
+    init = S.MergedSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(S.MergedSpec, "__post_init__", counted)
+    for name in ("thirds", "gn", "kenyon", "halves", "ratios-2-5-3-5"):
+        S.classify(S.PRESETS[name])
+    assert S.sign_split(S.PRESETS["gn"]) == (S.PRESETS["gn"], S.EMPTY)
+    assert built == []
 
 
 def test_classify_thirds_cantor():
@@ -557,6 +574,41 @@ def test_classify_of_a_scaled_spec_is_the_scaled_verdict(spec, c):
     assert [getattr(scaled, name) for name in same] == [getattr(verdict, name) for name in same]
     assert (scaled.hull_lo, scaled.hull_hi) == (c * verdict.hull_lo, c * verdict.hull_hi)
     assert scaled.translation == c * verdict.translation == 0
+
+
+_prefix_order_tails = st.one_of(
+    st.builds(lambda a, r: S.geometric(a, r).tail, _values, _ratios),
+    st.builds(S.MultiGeometricTail, st.lists(_ratios, min_size=2, max_size=2).map(tuple), _values),
+    st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
+)
+
+
+def _outcome(call):
+    """What a call returns, or the type of the SubsumError it raises."""
+    try:
+        return call()
+    except S.SubsumError as exc:
+        return type(exc)
+
+
+@seed(17)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_values, min_size=2, max_size=4), _prefix_order_tails, st.data())
+def test_prefix_order_changes_no_verdict_and_no_reordered_cover(prefix, tail, data):
+    # The subsum set depends on the multiset of terms, and the reordering
+    # sorts the prefix into the tail, so neither may see the prefix order.
+    spec = S.SequenceSpec(tuple(prefix), tail)
+    permuted = S.SequenceSpec(tuple(data.draw(st.permutations(prefix))), tail)
+
+    def verdict(s):
+        return _outcome(lambda: replace(S.classify(s), profile=None))
+
+    assert verdict(permuted) == verdict(spec)
+    reordered, permuted_reordered = S.nonincreasing_reorder(spec), S.nonincreasing_reorder(permuted)
+    for n in range(8):
+        cover = S.build_cn(reordered, n)
+        permuted_cover = S.build_cn(permuted_reordered, n)
+        assert (permuted_cover.fattened, permuted_cover.inner) == (cover.fattened, cover.inner)
 
 
 def test_classify_propagates_indeterminate():

@@ -1,5 +1,7 @@
 """Brute-force oracles: subset sums, cover cross-checks, membership."""
 import itertools
+import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -281,3 +283,97 @@ def test_signed_subset_sums_are_the_hornich_translation(parts):
     absolute = S.combine_parts((pos, neg))
     translated = {s - neg.total().value for s in S.subset_sums(absolute, count)}
     assert set(S.subset_sums(spec, count)) == translated
+
+
+def _dominant_prefix(tail_total, margins):
+    """Descending prefix whose every term exceeds all later terms plus the tail."""
+    values, rest = [], tail_total
+    for margin in margins:
+        values.append(rest + margin)
+        rest += values[-1]
+    return tuple(reversed(values))
+
+
+_power_sum_tails = st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4))
+_dominated_power_sums = st.builds(
+    lambda tail, margins: S.SequenceSpec(_dominant_prefix(tail.enclosure(0).hi, margins), tail),
+    _power_sum_tails,
+    st.lists(st.fractions(min_value=F(1, 10), max_value=F(1), max_denominator=10), max_size=3),
+)
+_inexact_or_short_specs = st.one_of(
+    _dominated_power_sums,
+    st.builds(lambda a, b: S.MergedSpec((a, b)), _power_sum_parts, _merge_parts),
+    st.builds(S.finite, st.lists(_values, min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_inexact_or_short_specs, st.integers(11, 14), st.data())
+def test_probe_matches_per_depth_covers_on_inexact_and_short_specs(spec, depth, data):
+    # Power-sum bounds come from tail_sum(n) at every depth; a finite spec
+    # is probed past its last term, where its bound stays 0.
+    # Points at and just past the right end of a depth-k component test
+    # the bound X_k itself; `past` is the first point after it on the grid
+    # of the terms' common denominator, the probe's own denominator.
+    positive = positive_spec(spec)
+    k = data.draw(st.integers(0, depth))
+    terms = list(itertools.islice(positive.terms(), depth))
+    picks = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    subsum = sum((t for t, keep in zip(terms, picks) if keep), F(0))
+    tail = positive.tail_sum(k).hi
+    edge = subsum + tail
+    grid = math.lcm(*(t.denominator for t in terms))
+    past = subsum + F(math.floor(tail * grid) + 1, grid)
+    # _reference_exclusion for every point, with each cover built once.
+    covers = [S.oracle_cn(spec, n) for n in range(depth + 1)]
+    deepest = covers[-1].intervals
+    gaps = [(a.right + b.left) / 2 for a, b in zip(deepest, deepest[1:])]
+    points = [subsum, edge, past, edge + F(1, 10**6), positive.total().hi + F(1, 7)]
+    if gaps:
+        points += data.draw(st.lists(st.sampled_from(gaps), min_size=1, max_size=3))
+    for point in points:
+        expected = next((n for n, cover in enumerate(covers) if not cover.contains(point)), None)
+        assert S.membership_probe(spec, point, depth).excluded_at == expected
+
+
+_exact_specs = st.one_of(
+    _exact_parts,
+    st.builds(lambda a, b: S.MergedSpec((a, b)), _exact_parts, _exact_parts),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_specs)
+def test_exact_tail_is_the_total_less_the_partial_sum(spec):
+    # The identity membership_probe reads its bounds from: X_n = X_0 - S_n,
+    # also past a finite spec's last term, where both sides are 0.
+    positive = positive_spec(spec)
+    total = positive.total()
+    assert total.exact
+    terms = positive.terms()
+    partial = F(0)
+    for n in range(21):
+        tail = positive.tail_sum(n)
+        assert tail.exact and tail.hi == total.hi - partial
+        partial += next(terms, 0)
+
+
+def test_probe_power_sum_at_depth_limit_within_budget():
+    start = time.perf_counter()
+    result = S.membership_probe(S.power_sum(2), F(1, 2), S.DEPTH_LIMIT)
+    elapsed = time.perf_counter() - start
+    assert result.in_all_tested
+    # About 0.04 s on 2 shared vCPUs; the frontier holds 47,956 residuals.
+    assert elapsed < 0.5
+
+
+def test_probe_excludes_the_first_grid_point_past_an_inexact_bound():
+    # The first four terms, 19/5, 8/5, 4/5 and 1/9, have the common
+    # denominator 45, and X_1 = 12/5 + 1/2 = 29/10 lies between the grid
+    # points 130/45 and 131/45. So 131/45 is just past the right end of the
+    # depth-1 component [0, X_1], and the probe must round X_1 down.
+    spec = S.SequenceSpec((F(19, 5), F(8, 5), F(4, 5)), S.PowerSumTail(2, 3))
+    assert spec.tail_sum(1).hi == F(29, 10)
+    point = F(131, 45)
+    assert _reference_exclusion(spec, point, 4) == 1
+    assert S.membership_probe(spec, point, 4).excluded_at == 1
