@@ -20,10 +20,13 @@ that fires gives the verdict:
    system are injective mod 1, as digit_coverage_test proves).
 
 Rules 3-6 read the term/tail profile of the non-increasing reordering.
-The profile reads a strand merge once, through its self-similar view:
-the same terms as a prefix and a multi-geometric tail. The eventual
-verdict, the relations, the component count and one_point_components
-work on the view; rules 5 and 6 read the reordering's own shape.
+The profile reads a strand merge or a multi-geometric tail through its
+self-similar view, the same terms as a prefix and a multi-geometric
+tail, and through the view's integer numerators (integer_view), with no
+walk of the merge. The eventual verdict, the relations and rule 3's
+component count (build_cn's fold, run on the numerators) read the
+numerators; one_point_components builds covers on the view; rules 5 and
+6 read the reordering's own shape.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -31,13 +34,14 @@ Anything not certified is reported Undetermined, never guessed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .construction import build_cn, subset_sum_starts
+from .construction import _fold, build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .sequences import (
     MultiGeometricTail,
@@ -45,12 +49,13 @@ from .sequences import (
     SequenceSpec,
     SummabilityClass,
     TermTailRelation,
+    ViewNumerators,
     combine_parts,
     finite,
     geometric_strands,
+    integer_view,
     nonincreasing_reorder,
     positive_spec,
-    self_similar,
     sign_split,
     summability_of,
     term_tail_relations,
@@ -94,8 +99,9 @@ class TermTailProfile:
     eventual is the analytic verdict on every index, which is all classify
     reads; comparisons(count) computes pointwise relations on demand.
     view, the same terms in the same order, is the self-similar view of
-    reordered when self_similar finds one, else reordered; derived, it
-    takes no part in repr or equality.
+    reordered when integer_view finds one, else reordered; numerators is
+    that view's integer model from integer_view, else None. Both are
+    derived and take no part in repr or equality.
     """
 
     eventual: Optional[EventualVerdict]
@@ -103,13 +109,20 @@ class TermTailProfile:
     view: SequenceSpec = field(repr=False, compare=False)
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
+    numerators: Optional[ViewNumerators] = field(default=None, repr=False, compare=False)
 
     def comparisons(self, count: int) -> tuple:
-        """Relations of term n to tail n for n = 1..count: term_tail_relations.
+        """Relations of term n to tail n for n = 1..count.
 
-        Read on the view; fewer when the reordering is a shorter finite spec.
+        With numerators, the prefix relations and then the period pattern,
+        repeated; else term_tail_relations on the view, fewer when the
+        reordering is a shorter finite spec.
         """
-        return term_tail_relations(self.view, count)
+        if self.numerators is None:
+            return term_tail_relations(self.view, count)
+        head, pattern = self.numerators.relations()
+        relations = itertools.chain(head, itertools.cycle(pattern))
+        return tuple(itertools.islice(relations, max(count, 0)))
 
     @property
     def gaps_recur(self) -> bool:
@@ -144,20 +157,16 @@ def _pseries_bound_threshold(exponent: int) -> int:
     return above
 
 
-def _region_verdict(
-    spec: SequenceSpec, head_count: int, proof: str, pattern
-) -> EventualVerdict:
+def _region_verdict(head: tuple, pattern: tuple, proof: str) -> EventualVerdict:
     """Combine the head relations with an analytic periodic region.
 
-    The first head_count relations come from one term_tail_relations pass.
-    pattern says, for one period of the indices past the head, whether
-    the term exceeds its tail; it repeats forever, so it decides the
-    infinite behaviour.
+    pattern holds the relations of one period of the indices past the
+    head; it repeats forever, so it decides the infinite behaviour.
     """
-    head = term_tail_relations(spec, head_count)
-    exceeds = [n for n, rel in enumerate(head, 1) if rel is TermTailRelation.TERM_EXCEEDS_TAIL]
-    if any(pattern):
-        if all(pattern) and len(exceeds) == head_count:
+    exceed = TermTailRelation.TERM_EXCEEDS_TAIL
+    exceeds = [n for n, rel in enumerate(head, 1) if rel is exceed]
+    if exceed in pattern:
+        if all(rel is exceed for rel in pattern) and len(exceeds) == len(head):
             return EventualVerdict(EventualKind.ALL_EXCEED, proof, exceed_count=None)
         return EventualVerdict(EventualKind.EXCEEDS_INFINITELY_OFTEN, proof)
     return EventualVerdict(
@@ -169,50 +178,45 @@ def _region_verdict(
 
 
 def _analytic_eventual(view: SequenceSpec):
-    """Eventual verdict for a profile's view, or None when unavailable.
+    """Eventual verdict for a view with no integer model, or None when unavailable.
 
     Returns (verdict, pseries thresholds) so the profile can expose the
     power-sum constants (p - 1, N). A power sum's head is its prefix and
-    its terms 1/k^p with k < N; every later tail bounds its term. A
-    multi-geometric view's head is its prefix; any other view has none.
+    its terms 1/k^p with k < N, compared in one term_tail_relations pass;
+    every later tail bounds its term.
     """
     kind = view.tail
-    if isinstance(kind, PowerSumTail):
-        if kind.exponent == 1:
-            # An infinite tail bounds every term, but divergent specs are
-            # classified by summability, not by gap analysis.
-            return None, None
-        threshold = _pseries_bound_threshold(kind.exponent)
-        head_count = len(view.prefix) + max(threshold - kind.start, 0)
-        verdict = _region_verdict(view, head_count, "pseries-monotone", (False,))
-        return verdict, (kind.exponent - 1, threshold)
-    if not isinstance(kind, MultiGeometricTail):
+    if not isinstance(kind, PowerSumTail) or kind.exponent == 1:
+        # An infinite tail bounds every term, but divergent specs are
+        # classified by summability, not by gap analysis.
         return None, None
-    # Term i exceeds its tail X_i exactly when its proportion is above 1/2
-    # (with one proportion r, when the ratio 1 - r < 1/2). One period of
-    # subtractions from the total reads that without the proportions.
-    pattern = []
-    rest = kind.total
-    for head in kind.heads:
-        rest -= head
-        pattern.append(head > rest)
-    verdict = _region_verdict(view, len(view.prefix), "multigeometric-period", pattern)
-    return verdict, None
+    threshold = _pseries_bound_threshold(kind.exponent)
+    head_count = len(view.prefix) + max(threshold - kind.start, 0)
+    head = term_tail_relations(view, head_count)
+    verdict = _region_verdict(head, (TermTailRelation.TAIL_BOUNDS_TERM,), "pseries-monotone")
+    return verdict, (kind.exponent - 1, threshold)
 
 
 def term_tail_profile(spec) -> TermTailProfile:
     """Term/tail profile of a positive spec or merge.
 
     The input goes through positive_spec (ValueError when a merge has a
-    negative part), is reordered non-increasingly, and its view is found
-    once. Only the indices the eventual verdict needs are compared here;
-    TermTailProfile.comparisons computes the pointwise relations on demand.
+    negative part) and is reordered non-increasingly. integer_view reads
+    its self-similar view and the view's numerators once; the eventual
+    verdict is their prefix relations and period pattern (term i past the
+    prefix exceeds its tail X_i exactly when its proportion is above 1/2).
+    Without a view, a power sum compares only the indices the verdict
+    needs; TermTailProfile.comparisons computes the pointwise relations on
+    demand.
     """
     reordered = nonincreasing_reorder(positive_spec(spec))
-    view = self_similar(reordered) or reordered
-    eventual, thresholds = _analytic_eventual(view)
-    exceed_through, bound_from = thresholds or (None, None)
-    return TermTailProfile(eventual, reordered, view, exceed_through, bound_from)
+    found = integer_view(reordered)
+    if found is None:
+        eventual, thresholds = _analytic_eventual(reordered)
+        return TermTailProfile(eventual, reordered, reordered, *(thresholds or (None, None)))
+    view, numerators = found
+    eventual = _region_verdict(*numerators.relations(), "multigeometric-period")
+    return TermTailProfile(eventual, reordered, view, numerators=numerators)
 
 
 # --- digit certificates --------------------------------------------------------
@@ -326,18 +330,28 @@ class Verdict:
     digit_certificate: Optional[CoverageCertificate] = None
 
 
-def _exact_component_count(spec, stabilized_depth, lower: int = 1) -> Optional[int]:
+def _exact_component_count(
+    spec, stabilized_depth, lower: int = 1, numerators: Optional[ViewNumerators] = None
+) -> Optional[int]:
     """Component count of the stabilized cover, when it can be pinned.
 
     The cover stops splitting after the last gap index, so its component
-    count at that depth is the true one. With inexact tails the lower and
-    upper fattenings sandwich the count; equality at some nearby depth
-    pins it. None, with no build, when lower, a proven lower bound on the
-    count, is past COUNT_CAP: the count cannot grow as the fattening
+    count at that depth is the true one. With the view's numerators, that
+    count is build_cn's fold of the first stabilized_depth numerators
+    widened by the exact rest, with no cover built. With inexact tails the
+    lower and upper fattenings sandwich the count; equality at some nearby
+    depth pins it. None, with no fold, when lower, a proven lower bound on
+    the count, is past COUNT_CAP: the count cannot grow as the fattening
     widens, so every build would exceed the cap or leave the sandwich open.
     """
     if lower > COUNT_CAP:
         return None
+    if numerators is not None:
+        width = sum(numerators.prefix[stabilized_depth:]) + numerators.tail
+        try:
+            return len(_fold(numerators.prefix[:stabilized_depth], width, COUNT_CAP)[0])
+        except CapExceeded:
+            return None
     for depth in range(stabilized_depth, stabilized_depth + COUNT_DEPTH_SLACK + 1):
         try:
             cover = build_cn(spec, depth, cap=COUNT_CAP)
@@ -413,7 +427,9 @@ def classify(spec) -> Verdict:
             VerdictKind.FINITE_UNION,
             component_lower=lower,
             component_upper=2**upper_exp,
-            component_count=_exact_component_count(profile.view, eventual.after, lower),
+            component_count=_exact_component_count(
+                profile.view, eventual.after, lower, profile.numerators
+            ),
             **shared,
         )
 

@@ -23,6 +23,10 @@ divergent, with hi None. term_tail_relations compares every term
 with its tail: by one running subtraction from the total when it is
 exact, index by index through compare_term_tail when it is inexact, and
 with no term read when it diverges (an infinite tail bounds every term).
+integer_view finds self_similar's view with its terms as integers over
+one closed-form denominator (ViewNumerators): it orders a strand merge's
+head by numerator instead of walking the merge, and the view's relations
+are the same running subtraction on those integers.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 import operator
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     CapExceeded,
@@ -56,7 +61,7 @@ ZERO = Fraction(0)
 # comparison, in order.
 REFINEMENT_STEPS = (8, 32, 128)
 
-# Most merged terms self_similar walks before every strand has started:
+# Most merged terms self_similar reads before every strand has started:
 # multi_geometric((1/1000, 1/4000), 1) needs 1,111, the 1/10^4 one 11,092.
 HEAD_TERM_CAP = 1 << 11
 
@@ -693,12 +698,23 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     """The same terms, in the same order, as a prefix and a multi-geometric tail.
 
     A multi-geometric tail is its own view. A merge of m geometric strands
-    with one common ratio q is walked until every strand has given its
-    first term, at merged position k; the view's prefix is the spec's
-    prefix plus the first k - m merged terms, and its tail is from_strands
-    of the next m terms and q. Returns None for any other tail. Raises
-    CapExceeded when HEAD_TERM_CAP merged terms are walked and some strand
-    has still not started.
+    with one common ratio q = a/b is read up to merged position k, where
+    its last strand starts; the view's prefix is the spec's prefix plus the
+    first k - m merged terms, and its tail is from_strands of the next m
+    terms and q. Returns None for any other tail. Raises CapExceeded,
+    before any term is built, when k would pass HEAD_TERM_CAP. The view
+    comes from integer_view.
+
+    Why the order is the merge's: let L be the lcm of the denominators of
+    the prefix and the strand heads h_j, n_j = h_j L, and W the largest
+    exponent in the head. Over D = L b^W (b - a), the term h_j q^w is the
+    integer n_j a^w b^(W-w) (b - a), so terms compare as their numerators.
+    MergeTail.walk leaves the terms in descending order, equal ones in
+    strand order, which a stable sort by numerator keeps. The last
+    strand to start is the one with the least head h_l (the highest index
+    among equal ones), and term w of strand j comes before h_l exactly
+    when n_j a^w > n_l b^w, or they are equal and j < l. Counting those w
+    per strand gives k before any term is built.
 
     Why the view is exact: let x_1 >= x_2 >= ... be the merged terms.
     Scaling a strand by q drops its head, so q x_1 >= q x_2 >= ... is the
@@ -709,25 +725,94 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     multi-geometric tail with the proportions of x_(k-m+1) .. x_k. Its
     total is each period's sum, x_(k-m+1) + ... + x_k, times 1/(1 - q).
     """
-    kind = spec.tail
-    if isinstance(kind, MultiGeometricTail):
-        return spec
-    strands = geometric_strands(kind)
+    found = integer_view(spec)
+    return None if found is None else found[0]
+
+
+class ViewNumerators(NamedTuple):
+    """A self-similar view's terms as integer numerators over one denominator.
+
+    prefix holds the numerators of the view's prefix, heads those of one
+    period of its tail, and tail that of the tail's total. A relation or a
+    fold compares sums of terms, which a common positive scale leaves as
+    they are, so the denominator is not kept.
+    """
+
+    prefix: list
+    heads: list
+    tail: int
+
+    def relations(self) -> tuple:
+        """(relations of the prefix terms, relations of one period of heads).
+
+        Past the prefix x_(i+m) = q x_i and X_(i+m) = q X_i, so the second
+        repeats with period m for every later index.
+        """
+        return (
+            _running_relations(self.prefix, sum(self.prefix) + self.tail),
+            _running_relations(self.heads, self.tail),
+        )
+
+
+def _head_takes(firsts: list, a: int, b: int) -> list:
+    """Terms of each strand up to where the last one starts (see
+    self_similar), from the heads' numerators firsts over one denominator."""
+    last = min(range(len(firsts)), key=lambda j: (firsts[j], -j))
+    takes = [1] * len(firsts)
+    walked = 1
+    for j, first in enumerate(firsts):
+        if j == last:
+            continue
+        u, v, take = first, firsts[last], 0
+        while u > v or (u == v and j < last):
+            walked += 1
+            if walked > HEAD_TERM_CAP:
+                raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
+            u, v, take = u * a, v * b, take + 1
+        takes[j] = take
+    return takes
+
+
+def integer_view(spec: SequenceSpec) -> Optional[tuple]:
+    """(self_similar(spec), its ViewNumerators), or None when it has no view.
+
+    The numerators are over self_similar's D; a multi-geometric tail's head
+    is its m heads, with W = 0. A period's tail total, its sum times
+    b/(b - a), is an integer over D too. Each strand's numerators follow
+    from its head by one exact division by b and product by a per term,
+    and its Fractions by one product by q, as the strand's own terms are.
+    """
+    strands = geometric_strands(spec.tail)
     if strands is None:
         return None
     heads, q = strands
-    m = len(heads)
-    walked = []
-    started = set()
-    for value, idx in kind.walk():
-        walked.append(value)
-        started.add(idx)
-        if len(started) == m:
-            break
-        if len(walked) == HEAD_TERM_CAP:
-            raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
-    view = MultiGeometricTail.from_strands(walked[-m:], q)
-    return SequenceSpec(spec.prefix + tuple(walked[:-m]), view)
+    a, b, m = q.numerator, q.denominator, len(heads)
+    den = math.lcm(*(v.denominator for v in spec.prefix), *(h.denominator for h in heads))
+    firsts = [h.numerator * (den // h.denominator) for h in heads]
+    plain = isinstance(spec.tail, MultiGeometricTail)
+    takes = [1] * m if plain else _head_takes(firsts, a, b)
+    scale = b ** (max(takes) - 1) * (b - a)
+    prefix = [v.numerator * (den // v.denominator) * scale for v in spec.prefix]
+    if plain:
+        view, merged = spec, [first * scale for first in firsts]
+    else:
+        entries = []
+        for first, head, take in zip(firsts, heads, takes):
+            x = first * scale
+            entries.append((x, head))
+            for _ in range(take - 1):
+                x, head = x // b * a, head * q
+                entries.append((x, head))
+        # Stable, as MergeTail.walk is: equal numerators stay in strand order.
+        entries.sort(key=_first, reverse=True)
+        values = tuple(value for _, value in entries)
+        view = SequenceSpec(
+            spec.prefix + values[:-m], MultiGeometricTail.from_strands(values[-m:], q)
+        )
+        merged = [x for x, _ in entries]
+    prefix += merged[:-m]
+    period = merged[-m:]
+    return view, ViewNumerators(prefix, period, sum(period) // (b - a) * b)
 
 
 # --- summability and sign handling -------------------------------------------
@@ -832,10 +917,15 @@ def term_tail_relations(spec: SequenceSpec, count: int) -> tuple:
         return (TermTailRelation.TAIL_BOUNDS_TERM,) * max(count, 0)
     if not total.exact:
         return tuple(compare_term_tail(spec, index) for index in range(1, count + 1))
+    return _running_relations(itertools.islice(spec.terms(), max(count, 0)), total.lo)
+
+
+def _running_relations(terms, rest) -> tuple:
+    """Relation of each term to what is left of rest once it and the terms
+    before it are subtracted: Fractions, or integers over one denominator."""
     exceed, bound = TermTailRelation.TERM_EXCEEDS_TAIL, TermTailRelation.TAIL_BOUNDS_TERM
     relations = []
-    rest = total.lo
-    for term in itertools.islice(spec.terms(), max(count, 0)):
+    for term in terms:
         rest -= term
         relations.append(exceed if term > rest else bound)
     return tuple(relations)

@@ -195,8 +195,9 @@ def test_classify_compares_no_index_pointwise(monkeypatch, name):
 )
 def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
     # The eventual analysis, the component count and the relations read
-    # the merge through its self-similar view: one walk to find the view,
-    # no pointwise comparison on the heap, and no cover built on it.
+    # the merge through its self-similar view, whose head is ordered by
+    # integer numerators: no walk of the merge, no pointwise comparison
+    # on the heap, and no cover built on it.
     module = sys.modules["subsums.sequences"]
     walks = []
     compared = []
@@ -215,7 +216,7 @@ def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
     monkeypatch.setattr(module, "compare_term_tail", counted_compare)
     verdict = S.classify(spec)
     assert isinstance(verdict.profile.reordered.tail, S.MergeTail)
-    assert len(walks) == 1
+    assert len(walks) == 0
     assert not any(isinstance(s.tail, S.MergeTail) for s in compared)
 
 
@@ -447,6 +448,70 @@ def test_profile_view_builds_the_reordering_covers(spec):
     )
 
 
+def _integer_view_specs():
+    """Seeded strand merges and prefixed multi-geometric specs: equal heads
+    across strands, heads q^k apart (ties later in the merge), and prefixes
+    that the reordering absorbs out of order."""
+    rng = random.Random(29)
+
+    def fraction(top):
+        den = rng.randint(2, top)
+        return F(rng.randint(1, den - 1), den)
+
+    for k in range(150):
+        q = fraction(9)
+        heads = [fraction(12) for _ in range(rng.randint(2, 4))]
+        if k % 3 == 1:
+            heads[-1] = heads[0]
+        elif k % 3 == 2:
+            heads[1] = heads[0] * q ** rng.randint(1, 3)
+        prefix = tuple(2 * fraction(12) for _ in range(rng.randint(0, 3)))
+        yield S.SequenceSpec(prefix, S.MergeTail(tuple(S.geometric(h, q) for h in heads)))
+        yield S.multi_geometric([fraction(12) for _ in range(rng.randint(2, 3))], 1, prefix)
+
+
+def test_integer_view_matches_the_merge_walk():
+    # The view's head order, its relations and rule 3's component count
+    # come from integer numerators; each must equal what the merge walk,
+    # term_tail_relations and build_cn read on the reordering.
+    merges = absorbed = counted = 0
+    build_cn = S.build_cn
+    for spec in _integer_view_specs():
+        profile = S.term_tail_profile(spec)
+        reordered, view = profile.reordered, profile.view
+        m = len(view.tail.heads)
+        if isinstance(reordered.tail, S.MergeTail):
+            merges += 1
+            absorbed += len(reordered.prefix) > 0
+            walked, started = [], set()
+            for value, idx in reordered.tail.walk():
+                walked.append(value)
+                started.add(idx)
+                if len(started) == m:
+                    break
+            assert view.prefix == reordered.prefix + tuple(walked[:-m])
+            assert view.tail.heads == tuple(walked[-m:])
+            assert S.self_similar(reordered) == view
+        else:
+            assert view is reordered
+        count = len(view.prefix) + 3 * m
+        relations = S.term_tail_relations(reordered, count)
+        for n in range(count + 1):
+            assert profile.comparisons(n) == relations[:n]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["subsums.classify"], "build_cn", _refuse)
+            verdict = S.classify(spec)
+        if verdict.kind is S.VerdictKind.FINITE_UNION:
+            counted += 1
+            cover = build_cn(reordered, profile.eventual.after)
+            assert verdict.component_count == cover.fattened.components
+    assert (merges, absorbed, counted) == (251, 196, 181)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("classify built a cover")
+
+
 def test_classify_large_power_sum_in_budget():
     # An inexact total is compared index by index: shifting a power sum's
     # bracket settles nothing and grows denominators near lcm(1..n)^p.
@@ -506,6 +571,18 @@ def test_classify_strand_merge_head_past_the_cap_fails_fast():
     with pytest.raises(S.CapExceeded, match=f"passes {HEAD_TERM_CAP} terms"):
         S.classify(spec)
     assert time.perf_counter() - started < 3
+
+
+def test_classify_2045_term_strand_head_in_budget():
+    # The last strand starts at merged term 2,047, just under HEAD_TERM_CAP;
+    # its head is ordered, compared and folded on integers (0.1 s in
+    # process on 2 shared vCPUs, CPython 3.11).
+    started = time.perf_counter()
+    verdict = S.classify(S.multi_geometric((F(1, 1844), F(1, 7376)), 1))
+    assert time.perf_counter() - started < 3
+    assert verdict.kind is S.VerdictKind.FINITE_UNION
+    assert verdict.component_count == 1
+    assert len(verdict.profile.view.prefix) == 2045
 
 
 def test_classify_undetermined_in_open_region():
