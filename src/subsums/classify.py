@@ -5,11 +5,12 @@ that fires gives the verdict:
 
 1. summability: a sequence that is not absolutely summable gives the
    whole line (both parts diverge) or a half line (one part diverges);
-2. finite spec -> finite union of closed intervals, counted on the cover
-   at the last term;
+2. finite spec -> finite union of closed intervals, counted by one
+   integer fold of its terms;
 3. tail bounds term from some index on -> finite union of closed
-   intervals (the cover stabilizes; component count between
-   2^(#gap events) and 2^(last gap index));
+   intervals (component count between 2^(#gap events) and 2^(last gap
+   index), pinned by agreeing bounds, else by one integer fold at the
+   last gap index widened by the tail; see _component_count);
 4. term exceeds tail at every index -> Cantor set;
 5. prefix-free non-increasing two-ratio tail whose two-step contraction
    is below 1/4 -> Cantor set (cover component lengths die out
@@ -24,9 +25,10 @@ The profile reads a strand merge or a multi-geometric tail through its
 self-similar view, the same terms as a prefix and a multi-geometric
 tail, and through the view's integer numerators (integer_view), with no
 walk of the merge. The eventual verdict, the relations and rule 3's
-component count (build_cn's fold, run on the numerators) read the
-numerators; one_point_components builds covers on the view; rules 5 and
-6 read the reordering's own shape.
+fold read the numerators; a power sum's fold reads its terms, and its
+relations come from one pass up to its switch index. Only
+one_point_components builds covers; rules 5 and 6 read the reordering's
+own shape.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -43,7 +45,9 @@ from typing import Optional
 
 from .construction import _fold, build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
+from .rational import over_common_denominator
 from .sequences import (
+    REFINEMENT_STEPS,
     MultiGeometricTail,
     PowerSumTail,
     SequenceSpec,
@@ -63,12 +67,8 @@ from .sequences import (
 
 QUARTER = Fraction(1, 4)
 
-# Component cap of the covers classify builds to count components.
+# Component cap of the folds classify runs to count components.
 COUNT_CAP = 1 << 18
-
-# Depths tried past the stabilization index when pinning an exact component
-# count with inexact tails.
-COUNT_DEPTH_SLACK = 6
 
 
 class EventualKind(Enum):
@@ -96,12 +96,12 @@ class EventualVerdict:
 class TermTailProfile:
     """Term/tail pattern of the non-increasing reordering.
 
-    eventual is the analytic verdict on every index, which is all classify
-    reads; comparisons(count) computes pointwise relations on demand.
-    view, the same terms in the same order, is the self-similar view of
-    reordered when integer_view finds one, else reordered; numerators is
-    that view's integer model from integer_view, else None. Both are
-    derived and take no part in repr or equality.
+    eventual is the analytic verdict on every index. view, the same terms
+    in the same order, is reordered's self-similar view when integer_view
+    finds one, else reordered; numerators is that view's integer model,
+    else None; relations is the (head, period pattern) pair that proved
+    eventual, else None. These three are derived and take no part in repr
+    or equality.
     """
 
     eventual: Optional[EventualVerdict]
@@ -110,17 +110,18 @@ class TermTailProfile:
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
     numerators: Optional[ViewNumerators] = field(default=None, repr=False, compare=False)
+    relations: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def comparisons(self, count: int) -> tuple:
         """Relations of term n to tail n for n = 1..count.
 
-        With numerators, the prefix relations and then the period pattern,
+        With proven relations, the head and then the period pattern,
         repeated; else term_tail_relations on the view, fewer when the
         reordering is a shorter finite spec.
         """
-        if self.numerators is None:
+        if self.relations is None:
             return term_tail_relations(self.view, count)
-        head, pattern = self.numerators.relations()
+        head, pattern = self.relations
         relations = itertools.chain(head, itertools.cycle(pattern))
         return tuple(itertools.islice(relations, max(count, 0)))
 
@@ -177,24 +178,23 @@ def _region_verdict(head: tuple, pattern: tuple, proof: str) -> EventualVerdict:
     )
 
 
-def _analytic_eventual(view: SequenceSpec):
-    """Eventual verdict for a view with no integer model, or None when unavailable.
-
-    Returns (verdict, pseries thresholds) so the profile can expose the
-    power-sum constants (p - 1, N). A power sum's head is its prefix and
-    its terms 1/k^p with k < N, compared in one term_tail_relations pass;
-    every later tail bounds its term.
+def _power_sum_profile(reordered: SequenceSpec) -> TermTailProfile:
+    """Profile of a reordering with no integer view; only a power sum gets
+    a verdict. Its head is its prefix and its terms 1/k^p with k < N, one
+    term_tail_relations pass; every later tail bounds its term, so its
+    pattern is one bound. The profile keeps (p - 1, N).
     """
-    kind = view.tail
+    kind = reordered.tail
     if not isinstance(kind, PowerSumTail) or kind.exponent == 1:
         # An infinite tail bounds every term, but divergent specs are
         # classified by summability, not by gap analysis.
-        return None, None
+        return TermTailProfile(None, reordered, reordered)
     threshold = _pseries_bound_threshold(kind.exponent)
-    head_count = len(view.prefix) + max(threshold - kind.start, 0)
-    head = term_tail_relations(view, head_count)
-    verdict = _region_verdict(head, (TermTailRelation.TAIL_BOUNDS_TERM,), "pseries-monotone")
-    return verdict, (kind.exponent - 1, threshold)
+    head_count = len(reordered.prefix) + max(threshold - kind.start, 0)
+    relations = (term_tail_relations(reordered, head_count), (TermTailRelation.TAIL_BOUNDS_TERM,))
+    eventual = _region_verdict(*relations, "pseries-monotone")
+    thresholds = (kind.exponent - 1, threshold)
+    return TermTailProfile(eventual, reordered, reordered, *thresholds, relations=relations)
 
 
 def term_tail_profile(spec) -> TermTailProfile:
@@ -206,17 +206,17 @@ def term_tail_profile(spec) -> TermTailProfile:
     verdict is their prefix relations and period pattern (term i past the
     prefix exceeds its tail X_i exactly when its proportion is above 1/2).
     Without a view, a power sum compares only the indices the verdict
-    needs; TermTailProfile.comparisons computes the pointwise relations on
-    demand.
+    needs (_power_sum_profile). Either keeps its relations for
+    TermTailProfile.comparisons.
     """
     reordered = nonincreasing_reorder(positive_spec(spec))
     found = integer_view(reordered)
     if found is None:
-        eventual, thresholds = _analytic_eventual(reordered)
-        return TermTailProfile(eventual, reordered, reordered, *(thresholds or (None, None)))
+        return _power_sum_profile(reordered)
     view, numerators = found
-    eventual = _region_verdict(*numerators.relations(), "multigeometric-period")
-    return TermTailProfile(eventual, reordered, view, numerators=numerators)
+    relations = numerators.relations()
+    eventual = _region_verdict(*relations, "multigeometric-period")
+    return TermTailProfile(eventual, reordered, view, numerators=numerators, relations=relations)
 
 
 # --- digit certificates --------------------------------------------------------
@@ -330,37 +330,41 @@ class Verdict:
     digit_certificate: Optional[CoverageCertificate] = None
 
 
-def _exact_component_count(
-    spec, stabilized_depth, lower: int = 1, numerators: Optional[ViewNumerators] = None
-) -> Optional[int]:
-    """Component count of the stabilized cover, when it can be pinned.
+def _component_count(spec, after: int, lower: int, upper: int, numerators=None) -> Optional[int]:
+    """Component count of the subsum set, or None when it cannot be pinned.
 
-    The cover stops splitting after the last gap index, so its component
-    count at that depth is the true one. With the view's numerators, that
-    count is build_cn's fold of the first stabilized_depth numerators
-    widened by the exact rest, with no cover built. With inexact tails the
-    lower and upper fattenings sandwich the count; equality at some nearby
-    depth pins it. None, with no fold, when lower, a proven lower bound on
-    the count, is past COUNT_CAP: the count cannot grow as the fattening
-    widens, so every build would exceed the cap or leave the sandwich open.
+    Proven bounds that agree are the count. A lower bound past COUNT_CAP
+    leaves None. Else the first `after` terms are folded on integers
+    (_fold), no cover built: a view's numerators widened by their exact
+    rest, any other spec widened by both ends of tail_sum(after, extra=e)
+    for e in (0,) + REFINEMENT_STEPS, until the two folds agree.
+
+    Why: the tail bounds every term after index a = after, so
+    E = S_a + [0, X_a], S_a the distinct subset sums of the first a terms.
+    S_a + [0, w] has 1 + #{consecutive gaps of S_a > w} components, never
+    more as w grows, and tail_sum(a, extra) brackets X_a ever tighter. At
+    depth a + k a fattened cover is the depth-a fold at width
+    x_(a+1) + ... + x_(a+k) + hi, and its inner cover has at least as many
+    components as the fold at the lower width: this ladder pins every count
+    that deeper covers pin.
     """
+    if lower == upper:
+        return lower
     if lower > COUNT_CAP:
         return None
-    if numerators is not None:
-        width = sum(numerators.prefix[stabilized_depth:]) + numerators.tail
-        try:
-            return len(_fold(numerators.prefix[:stabilized_depth], width, COUNT_CAP)[0])
-        except CapExceeded:
-            return None
-    for depth in range(stabilized_depth, stabilized_depth + COUNT_DEPTH_SLACK + 1):
-        try:
-            cover = build_cn(spec, depth, cap=COUNT_CAP)
-        except CapExceeded:
-            return None
-        if cover.tail_exact:
-            return cover.fattened.components
-        if cover.inner is not None and cover.inner.components == cover.fattened.components:
-            return cover.fattened.components
+    try:
+        if numerators is not None:
+            width = sum(numerators.prefix[after:]) + numerators.tail
+            return len(_fold(numerators.prefix[:after], width, COUNT_CAP)[0])
+        terms = list(itertools.islice(spec.terms(), after))
+        for extra in (0,) + REFINEMENT_STEPS:
+            tail = spec.tail_sum(after, extra=extra)
+            _, (*heads, lo, hi) = over_common_denominator(terms + [tail.lo, tail.hi])
+            count = len(_fold(heads, hi, COUNT_CAP)[0])
+            if tail.exact or count == len(_fold(heads, lo, COUNT_CAP)[0]):
+                return count
+    except CapExceeded:
+        pass
     return None
 
 
@@ -389,8 +393,8 @@ def classify(spec) -> Verdict:
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
-        count = _exact_component_count(abs_spec, finite_count)
-        # Without a count, the cover was capped: the fold of a finite spec
+        count = _component_count(abs_spec, finite_count, 1, 2**finite_count)
+        # Without a count, the fold was capped: the fold of a finite spec
         # has zero width and its steps only add points, so the final count
         # is past the cap.
         lower, upper = (count, count) if count is not None else (COUNT_CAP + 1, 2**finite_count)
@@ -422,13 +426,13 @@ def classify(spec) -> Verdict:
         else:
             lower_exp = eventual.exceed_count
             upper_exp = eventual.after
-        lower = 2**lower_exp
+        lower, upper = 2**lower_exp, 2**upper_exp
         return Verdict(
             VerdictKind.FINITE_UNION,
             component_lower=lower,
-            component_upper=2**upper_exp,
-            component_count=_exact_component_count(
-                profile.view, eventual.after, lower, profile.numerators
+            component_upper=upper,
+            component_count=_component_count(
+                profile.view, eventual.after, lower, upper, profile.numerators
             ),
             **shared,
         )

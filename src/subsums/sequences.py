@@ -659,16 +659,12 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
 
 
 def _absorb_prefix(prefix, body: SequenceSpec) -> SequenceSpec:
-    """Merge prefix terms into a non-increasing body spec."""
+    """Merge prefix terms into a non-increasing body spec: one walk reads the
+    terms it absorbs, and drop_above drops them (drop_first the ties)."""
     threshold = min(prefix)
-    taken = []
-    for value in body.terms():
-        if value >= threshold:
-            taken.append(value)
-        else:
-            break
-    rest = drop_first(body, len(taken))
-    new_prefix = tuple(sorted(list(prefix) + taken, reverse=True))
+    taken = tuple(itertools.takewhile(lambda value: value >= threshold, body.terms()))
+    rest = drop_first(body.drop_above(threshold), taken.count(threshold))
+    new_prefix = tuple(sorted(prefix + taken, reverse=True))
     return SequenceSpec(new_prefix + rest.prefix, rest.tail)
 
 

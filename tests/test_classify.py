@@ -1,4 +1,5 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
+import math
 import random
 import sys
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import subsums as S
 from subsums.classify import COUNT_CAP, EventualKind, _pseries_bound_threshold
+from subsums.oracle import _sorted_sums
 from subsums.sequences import HEAD_TERM_CAP, REFINEMENT_STEPS
 
 EX = S.TermTailRelation.TERM_EXCEEDS_TAIL
@@ -220,6 +222,25 @@ def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
     assert not any(isinstance(s.tail, S.MergeTail) for s in compared)
 
 
+def test_classify_absorbs_a_prefix_in_one_walk(monkeypatch):
+    # The terms at least as large as the least prefix term take one walk
+    # of the merge; drop_above leaves the rest with no walk.
+    walks = []
+    walk = S.MergeTail.walk
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(S.MergeTail, "walk", counted_walk)
+    spec = S.multi_geometric((F(1, 22), F(1, 11)), 1, prefix=(F(1, 100), F(1, 2)))
+    verdict = S.classify(spec)
+    assert len(walks) == 1
+    reordered = verdict.profile.reordered
+    assert (len(reordered.prefix), reordered.prefix[-1]) == (29, F(1, 100))
+    assert reordered.tail.parts[0].tail.heads[0] < F(1, 100)
+
+
 def test_classify_reads_reorder_strands_as_built(monkeypatch):
     # The reordering's strands come from from_strands, so the merge takes
     # them unchecked, and classify only walks them: no strand's proportion
@@ -387,13 +408,10 @@ def test_classify_finite_spec_past_count_cap():
 
 def test_classify_pins_no_count_past_the_lower_bound(monkeypatch):
     # 1/k^20 exceeds its tail for k <= 19, so the count is at least 2^19,
-    # past the cap: no cover is built, and the verdict keeps its bounds.
+    # past the cap: nothing is folded, and the verdict keeps its bounds.
     module = sys.modules["subsums.classify"]
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("build_cn was called")
-
-    monkeypatch.setattr(module, "build_cn", no_build)
+    monkeypatch.setattr(module, "_fold", _refuse)
+    monkeypatch.setattr(module, "build_cn", _refuse)
     verdict = S.classify(S.power_sum(20))
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert verdict.summability is S.SummabilityClass.ABSOLUTELY_SUMMABLE
@@ -410,6 +428,72 @@ def test_classify_pins_no_count_past_the_lower_bound(monkeypatch):
         19,
         34,
     )
+
+
+def test_classify_pins_power_sum_counts(monkeypatch):
+    # power_sum(8) is pinned by the integer folds at its last gap index on
+    # the bracket with 8 explicit terms (at extra 0 they read 256 and
+    # 1024). power_sum(12, 3) and power_sum(17, 6) have agreeing bounds,
+    # so no fold runs; the second count is the component cap itself.
+    assert S.classify(S.power_sum(8)).component_count == 1024
+    module = sys.modules["subsums.classify"]
+    monkeypatch.setattr(module, "_fold", _refuse)
+    monkeypatch.setattr(module, "build_cn", _refuse)
+    for spec, count in ((S.power_sum(12, 3), 8192), (S.power_sum(17, 6), COUNT_CAP)):
+        verdict = S.classify(spec)
+        assert verdict.component_lower == verdict.component_upper == verdict.component_count
+        assert verdict.component_count == count
+    assert COUNT_CAP == 2**18
+
+
+def test_power_sum_comparisons_read_the_proven_relations(monkeypatch):
+    # The profile keeps the head and pattern that proved its verdict, so
+    # comparisons compares no index again.
+    profile = S.term_tail_profile(S.power_sum(3, 2, prefix=(F(1, 3),)))
+    expected = S.term_tail_relations(profile.reordered, 12)
+    module = sys.modules["subsums.sequences"]
+    calls = []
+    compare = module.compare_term_tail
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(module, "compare_term_tail", counted)
+    assert profile.comparisons(12) == expected
+    assert calls == []
+
+
+def test_power_sum_counts_agree_with_the_oracle_gaps():
+    # E = S_a + [0, X_a] past the last gap index a, so the count is one
+    # more than the gaps of the oracle's subset sums S_a wider than X_a,
+    # read at both ends of the tightest bracket where they agree. The sums
+    # are subset_sums' integer form (_sorted_sums), over a denominator
+    # that also holds the bracket, so no Fraction is compared.
+    rng = random.Random(30)
+    kept = checked = agreeing = 0
+    for _ in range(150):
+        prefix = tuple(F(rng.randint(1, 9), rng.randint(1, 40)) for _ in range(rng.randrange(5)))
+        spec = S.power_sum(rng.randint(2, 14), rng.randint(1, 9), prefix)
+        after = S.term_tail_profile(spec).eventual.after
+        if after > 16:
+            continue
+        kept += 1
+        verdict = S.classify(spec)
+        if verdict.component_lower == verdict.component_upper:
+            assert verdict.component_count == verdict.component_lower
+            agreeing += 1
+        if verdict.component_count is None:
+            continue
+        reordered = verdict.profile.reordered
+        tail = reordered.tail_sum(after, extra=REFINEMENT_STEPS[-1])
+        den, sums = _sorted_sums(reordered, after, math.lcm(tail.lo.denominator, tail.hi.denominator))
+        gaps = [b - a for a, b in zip(sums, sums[1:])]
+        lo, hi = (1 + sum(g > w for g in gaps) for w in (int(tail.lo * den), int(tail.hi * den)))
+        if lo == hi:
+            assert verdict.component_count == hi
+            checked += 1
+    assert (kept, checked, agreeing) == (137, 137, 113)
 
 
 _fractions = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12)

@@ -199,6 +199,18 @@ def test_reorder_absorbs_prefix_into_geometric_body():
     assert sorted(take(spec, 6), reverse=True) == take(reordered, 6)
 
 
+def test_reorder_absorbs_tail_terms_equal_to_the_least_prefix_term():
+    # The strand term 1/8 ties the least prefix term and is absorbed too,
+    # so both strands resume past the absorbed terms.
+    half = F(1, 2)
+    strands = S.MergeTail((S.geometric(half, half), S.geometric(F(3, 8), half)))
+    reordered = S.nonincreasing_reorder(S.SequenceSpec((F(1, 8), half), strands))
+    assert reordered == S.SequenceSpec(
+        (half, half, F(3, 8), F(1, 4), F(3, 16), F(1, 8), F(1, 8)),
+        S.MergeTail((S.geometric(F(1, 16), half), S.geometric(F(3, 32), half))),
+    )
+
+
 def test_spec_rejects_unknown_tail_kind():
     with pytest.raises(S.UnsupportedKind):
         S.SequenceSpec((), object())
