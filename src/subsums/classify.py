@@ -20,15 +20,15 @@ that fires gives the verdict:
    is the whole certificate: digit strings over a complete residue
    system are injective mod 1, as digit_coverage_test proves).
 
-Rules 3-6 read the term/tail profile of the non-increasing reordering.
-The profile reads a strand merge or a multi-geometric tail through its
-self-similar view, the same terms as a prefix and a multi-geometric
-tail, and through the view's integer numerators (integer_view), with no
-walk of the merge. The eventual verdict, the relations and rule 3's
-fold read the numerators; a power sum's fold reads its terms, and its
-relations come from one pass up to its switch index. Only
-one_point_components builds covers; rules 5 and 6 read the reordering's
-own shape.
+Rules 3-6 read the term/tail profile of the non-increasing reordering,
+and the profile reads each kind of spec only through its model. A strand
+merge or a multi-geometric tail is read through the integer numerators
+of its self-similar view (integer_view), with no walk of the merge and
+no Fraction of the view built: the eventual verdict, the relations and
+rule 3's fold read the numerators. A power sum's relations are its
+prefix, compared index by index, and one switch index past it, found by
+bisection; its fold reads its terms. Only one_point_components builds
+covers, on the reordering; rules 5 and 6 read the reordering's own shape.
 Signed sequences are reduced by splitting signs: the subsum set is the
 absolute-value subsum set (combine_parts of both parts) translated by the
 sum of the negative part.
@@ -36,6 +36,7 @@ Anything not certified is reported Undetermined, never guessed.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ from .sequences import (
     TermTailRelation,
     ViewNumerators,
     combine_parts,
+    compare_term_tail,
     finite,
     geometric_strands,
     integer_view,
@@ -96,17 +98,16 @@ class EventualVerdict:
 class TermTailProfile:
     """Term/tail pattern of the non-increasing reordering.
 
-    eventual is the analytic verdict on every index. view, the same terms
-    in the same order, is reordered's self-similar view when integer_view
-    finds one, else reordered; numerators is that view's integer model,
-    else None; relations is the (head, period pattern) pair that proved
-    eventual, else None. These three are derived and take no part in repr
-    or equality.
+    eventual is the analytic verdict on every index. numerators is the
+    integer model of reordered's self-similar view (integer_view) when it
+    has one, else None; relations is the (head, period pattern) pair that
+    proved eventual, else None. These two are derived and take no part in
+    repr or equality. The view itself, the same terms in the same order,
+    is self_similar(reordered), built only when a caller asks for it.
     """
 
     eventual: Optional[EventualVerdict]
     reordered: SequenceSpec
-    view: SequenceSpec = field(repr=False, compare=False)
     pseries_exceed_through: Optional[int] = None
     pseries_bound_from: Optional[int] = None
     numerators: Optional[ViewNumerators] = field(default=None, repr=False, compare=False)
@@ -116,11 +117,11 @@ class TermTailProfile:
         """Relations of term n to tail n for n = 1..count.
 
         With proven relations, the head and then the period pattern,
-        repeated; else term_tail_relations on the view, fewer when the
-        reordering is a shorter finite spec.
+        repeated; else term_tail_relations on the reordering, fewer when it
+        is a shorter finite spec.
         """
         if self.relations is None:
-            return term_tail_relations(self.view, count)
+            return term_tail_relations(self.reordered, count)
         head, pattern = self.relations
         relations = itertools.chain(head, itertools.cycle(pattern))
         return tuple(itertools.islice(relations, max(count, 0)))
@@ -134,28 +135,18 @@ class TermTailProfile:
         )
 
 
-def _pseries_bound_threshold(exponent: int) -> int:
+def _pseries_bound_threshold(p: int) -> int:
     """Least N with (N+1) * (N/(N+1))^p >= p - 1.
 
     The left side is strictly increasing in N, so tails bound terms for
-    every index >= N.
+    every index >= N. By Bernoulli, (1 - 1/(N+1))^p >= 1 - p/(N+1), so it
+    is at least N + 1 - p: N <= 2p - 2, found by bisecting 1 .. 2p - 3.
     """
-    p = exponent
 
     def reached(n: int) -> bool:
         return (n + 1) * Fraction(n, n + 1) ** p >= p - 1
 
-    # Double past the threshold, then bisect: below < N <= above.
-    below, above = 0, 1
-    while not reached(above):
-        below, above = above, 2 * above
-    while above - below > 1:
-        mid = (below + above) // 2
-        if reached(mid):
-            above = mid
-        else:
-            below = mid
-    return above
+    return 1 + bisect.bisect_left(range(1, max(2 * p - 2, 1)), True, key=reached)
 
 
 def _region_verdict(head: tuple, pattern: tuple, proof: str) -> EventualVerdict:
@@ -180,21 +171,29 @@ def _region_verdict(head: tuple, pattern: tuple, proof: str) -> EventualVerdict:
 
 def _power_sum_profile(reordered: SequenceSpec) -> TermTailProfile:
     """Profile of a reordering with no integer view; only a power sum gets
-    a verdict. Its head is its prefix and its terms 1/k^p with k < N, one
-    term_tail_relations pass; every later tail bounds its term, so its
-    pattern is one bound. The profile keeps (p - 1, N).
+    a verdict. Its head is its prefix, compared index by index, then the
+    terms 1/k^p, k < N, that exceed their tails: 1/k^p exceeds its tail
+    exactly when sum_(j>=1) (k/(k+j))^p < 1, a sum strictly increasing in
+    k, so one bisect_left finds where exceed turns to bound. Every later
+    tail bounds its term, so the pattern is one bound. Keeps (p - 1, N).
     """
     kind = reordered.tail
     if not isinstance(kind, PowerSumTail) or kind.exponent == 1:
         # An infinite tail bounds every term, but divergent specs are
         # classified by summability, not by gap analysis.
-        return TermTailProfile(None, reordered, reordered)
+        return TermTailProfile(None, reordered)
     threshold = _pseries_bound_threshold(kind.exponent)
-    head_count = len(reordered.prefix) + max(threshold - kind.start, 0)
-    relations = (term_tail_relations(reordered, head_count), (TermTailRelation.TAIL_BOUNDS_TERM,))
+    n = len(reordered.prefix)
+    bound = TermTailRelation.TAIL_BOUNDS_TERM
+    indices = range(n + 1, n + max(threshold - kind.start, 0) + 1)
+    switch = bisect.bisect_left(
+        indices, True, key=lambda i: compare_term_tail(reordered, i) is bound
+    )
+    head = term_tail_relations(reordered, n) + (TermTailRelation.TERM_EXCEEDS_TAIL,) * switch
+    relations = (head, (bound,))
     eventual = _region_verdict(*relations, "pseries-monotone")
     thresholds = (kind.exponent - 1, threshold)
-    return TermTailProfile(eventual, reordered, reordered, *thresholds, relations=relations)
+    return TermTailProfile(eventual, reordered, *thresholds, relations=relations)
 
 
 def term_tail_profile(spec) -> TermTailProfile:
@@ -202,21 +201,20 @@ def term_tail_profile(spec) -> TermTailProfile:
 
     The input goes through positive_spec (ValueError when a merge has a
     negative part) and is reordered non-increasingly. integer_view reads
-    its self-similar view and the view's numerators once; the eventual
-    verdict is their prefix relations and period pattern (term i past the
-    prefix exceeds its tail X_i exactly when its proportion is above 1/2).
-    Without a view, a power sum compares only the indices the verdict
-    needs (_power_sum_profile). Either keeps its relations for
-    TermTailProfile.comparisons.
+    its self-similar view's numerators once, and builds no view; the
+    eventual verdict is their prefix relations and period pattern (term i
+    past the prefix exceeds its tail X_i exactly when its proportion is
+    above 1/2). Without a view, a power sum compares only its prefix and
+    the indices its bisection probes (_power_sum_profile). Either keeps
+    its relations for TermTailProfile.comparisons.
     """
     reordered = nonincreasing_reorder(positive_spec(spec))
-    found = integer_view(reordered)
-    if found is None:
+    numerators = integer_view(reordered)
+    if numerators is None:
         return _power_sum_profile(reordered)
-    view, numerators = found
     relations = numerators.relations()
     eventual = _region_verdict(*relations, "multigeometric-period")
-    return TermTailProfile(eventual, reordered, view, numerators=numerators, relations=relations)
+    return TermTailProfile(eventual, reordered, numerators=numerators, relations=relations)
 
 
 # --- digit certificates --------------------------------------------------------
@@ -432,7 +430,7 @@ def classify(spec) -> Verdict:
             component_lower=lower,
             component_upper=upper,
             component_count=_component_count(
-                profile.view, eventual.after, lower, upper, profile.numerators
+                reordered, eventual.after, lower, upper, profile.numerators
             ),
             **shared,
         )
@@ -478,7 +476,7 @@ def one_point_components(spec, depth: int) -> tuple:
     profile = term_tail_profile(spec)
     if not profile.gaps_recur:
         raise NotApplicable("no recurring gap pattern was established")
-    cover = build_cn(profile.view, depth)
+    cover = build_cn(profile.reordered, depth)
     if not cover.tail_exact:
         raise NotApplicable("cover endpoints need exact tails")
     union = cover.fattened

@@ -23,10 +23,10 @@ divergent, with hi None. term_tail_relations compares every term
 with its tail: by one running subtraction from the total when it is
 exact, index by index through compare_term_tail when it is inexact, and
 with no term read when it diverges (an infinite tail bounds every term).
-integer_view finds self_similar's view with its terms as integers over
-one closed-form denominator (ViewNumerators): it orders a strand merge's
-head by numerator instead of walking the merge, and the view's relations
-are the same running subtraction on those integers.
+integer_view reads self_similar's view only as integers over one
+closed-form denominator (ViewNumerators), from which self_similar builds
+its Fractions on request: it orders a strand merge's head by numerator,
+and the view's relations are the same running subtraction on them.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -698,19 +698,20 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     its last strand starts; the view's prefix is the spec's prefix plus the
     first k - m merged terms, and its tail is from_strands of the next m
     terms and q. Returns None for any other tail. Raises CapExceeded,
-    before any term is built, when k would pass HEAD_TERM_CAP. The view
-    comes from integer_view.
+    before any term is built, when k would pass HEAD_TERM_CAP. The view's
+    terms are integer_view's numerators x as Fraction(x, D); no other code
+    builds them.
 
     Why the order is the merge's: let L be the lcm of the denominators of
     the prefix and the strand heads h_j, n_j = h_j L, and W the largest
     exponent in the head. Over D = L b^W (b - a), the term h_j q^w is the
-    integer n_j a^w b^(W-w) (b - a), so terms compare as their numerators.
-    MergeTail.walk leaves the terms in descending order, equal ones in
-    strand order, which a stable sort by numerator keeps. The last
+    integer n_j a^w b^(W-w) (b - a), so a plain sort of the numerators
+    is the merge's order (equal numerators are equal terms). The last
     strand to start is the one with the least head h_l (the highest index
-    among equal ones), and term w of strand j comes before h_l exactly
-    when n_j a^w > n_l b^w, or they are equal and j < l. Counting those w
-    per strand gives k before any term is built.
+    among equal ones, as MergeTail.walk keeps ties in strand order), and
+    term w of strand j comes before h_l exactly when n_j a^w > n_l b^w, or
+    they are equal and j < l. Counting those w per strand gives k before
+    any term is built.
 
     Why the view is exact: let x_1 >= x_2 >= ... be the merged terms.
     Scaling a strand by q drops its head, so q x_1 >= q x_2 >= ... is the
@@ -721,22 +722,30 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     multi-geometric tail with the proportions of x_(k-m+1) .. x_k. Its
     total is each period's sum, x_(k-m+1) + ... + x_k, times 1/(1 - q).
     """
-    found = integer_view(spec)
-    return None if found is None else found[0]
+    if isinstance(spec.tail, MultiGeometricTail):
+        return spec
+    numerators = integer_view(spec)
+    if numerators is None:
+        return None
+    values = tuple(Fraction(x, numerators.den) for x in numerators.prefix + numerators.heads)
+    m = len(numerators.heads)
+    q = geometric_strands(spec.tail)[1]
+    return SequenceSpec(values[:-m], MultiGeometricTail.from_strands(values[-m:], q))
 
 
 class ViewNumerators(NamedTuple):
-    """A self-similar view's terms as integer numerators over one denominator.
+    """A self-similar view's terms as integer numerators over den, its D.
 
     prefix holds the numerators of the view's prefix, heads those of one
     period of its tail, and tail that of the tail's total. A relation or a
-    fold compares sums of terms, which a common positive scale leaves as
-    they are, so the denominator is not kept.
+    fold compares sums of terms, which den leaves as they are; only
+    self_similar reads it.
     """
 
     prefix: list
     heads: list
     tail: int
+    den: int
 
     def relations(self) -> tuple:
         """(relations of the prefix terms, relations of one period of heads).
@@ -769,14 +778,14 @@ def _head_takes(firsts: list, a: int, b: int) -> list:
     return takes
 
 
-def integer_view(spec: SequenceSpec) -> Optional[tuple]:
-    """(self_similar(spec), its ViewNumerators), or None when it has no view.
+def integer_view(spec: SequenceSpec) -> Optional[ViewNumerators]:
+    """The ViewNumerators of self_similar(spec), or None when it has no view.
 
     The numerators are over self_similar's D; a multi-geometric tail's head
     is its m heads, with W = 0. A period's tail total, its sum times
     b/(b - a), is an integer over D too. Each strand's numerators follow
-    from its head by one exact division by b and product by a per term,
-    and its Fractions by one product by q, as the strand's own terms are.
+    from its head by one exact division by b and product by a per term;
+    no Fraction is built.
     """
     strands = geometric_strands(spec.tail)
     if strands is None:
@@ -788,27 +797,18 @@ def integer_view(spec: SequenceSpec) -> Optional[tuple]:
     plain = isinstance(spec.tail, MultiGeometricTail)
     takes = [1] * m if plain else _head_takes(firsts, a, b)
     scale = b ** (max(takes) - 1) * (b - a)
+    merged = []
+    for first, take in zip(firsts, takes):
+        x = first * scale
+        merged.append(x)
+        for _ in range(take - 1):
+            x = x // b * a
+            merged.append(x)
+    if not plain:
+        merged.sort(reverse=True)
     prefix = [v.numerator * (den // v.denominator) * scale for v in spec.prefix]
-    if plain:
-        view, merged = spec, [first * scale for first in firsts]
-    else:
-        entries = []
-        for first, head, take in zip(firsts, heads, takes):
-            x = first * scale
-            entries.append((x, head))
-            for _ in range(take - 1):
-                x, head = x // b * a, head * q
-                entries.append((x, head))
-        # Stable, as MergeTail.walk is: equal numerators stay in strand order.
-        entries.sort(key=_first, reverse=True)
-        values = tuple(value for _, value in entries)
-        view = SequenceSpec(
-            spec.prefix + values[:-m], MultiGeometricTail.from_strands(values[-m:], q)
-        )
-        merged = [x for x, _ in entries]
-    prefix += merged[:-m]
     period = merged[-m:]
-    return view, ViewNumerators(prefix, period, sum(period) // (b - a) * b)
+    return ViewNumerators(prefix + merged[:-m], period, sum(period) // (b - a) * b, den * scale)
 
 
 # --- summability and sign handling -------------------------------------------

@@ -94,6 +94,28 @@ def test_public_names_are_pinned():
     assert names == PUBLIC_NAMES
 
 
+def test_result_fields_are_pinned():
+    # Field names in order, so that a removed or moved positional field
+    # shows up as an explicit test edit.
+    pinned = {
+        S.Verdict: [
+            "kind", "summability", "certificate", "strength", "hull_lo", "hull_hi",
+            "hull_exact", "component_lower", "component_upper", "component_count",
+            "translation", "known_infinitely_many", "profile", "digit_certificate",
+        ],
+        S.TermTailProfile: [
+            "eventual", "reordered", "pseries_exceed_through", "pseries_bound_from",
+            "numerators", "relations",
+        ],
+        S.EventualVerdict: ["kind", "proof", "after", "exceed_count"],
+        S.CnResult: ["depth", "fattened", "inner", "tail_used", "spec", "cap"],
+        S.MembershipResult: ["point", "depth", "excluded_at"],
+        S.FillResult: ["runs", "gaps", "achieved", "target", "hit_round_limit"],
+    }
+    for cls, names in pinned.items():
+        assert [f.name for f in fields(cls)] == names, cls.__name__
+
+
 def test_term_tail_relation_members_are_pinned():
     assert [rel.value for rel in S.TermTailRelation] == ["exceed", "bound"]
 

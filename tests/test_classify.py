@@ -1,4 +1,5 @@
 """Classification: profiles, verdicts, certificates, digit machinery."""
+import hashlib
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import subsums as S
@@ -241,6 +242,50 @@ def test_classify_absorbs_a_prefix_in_one_walk(monkeypatch):
     assert reordered.tail.parts[0].tail.heads[0] < F(1, 100)
 
 
+def test_classify_builds_no_view(monkeypatch):
+    # The reordering builds one strand per head. The profile reads the view
+    # on integers, so it builds no tail of its own for it.
+    built = []
+    from_strands = S.MultiGeometricTail.from_strands.__func__
+
+    def counted(cls, heads, q):
+        built.append(heads)
+        return from_strands(cls, heads, q)
+
+    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    for spec in (S.PRESETS["kenyon"], S.multi_geometric((F(1, 1844), F(1, 7376)), 1)):
+        built.clear()
+        S.classify(spec)
+        assert [len(heads) for heads in built] == [1, 1]
+
+
+def test_one_point_components_are_pinned():
+    # 52 endpoint tuples, depths 0-12, pinned by the digest of their repr;
+    # each is also the cover endpoints of the self-similar view.
+    specs = (
+        S.PRESETS["kenyon"],
+        S.multi_geometric((F(3, 22), F(17, 22)), 1),
+        S.PRESETS["gn"],
+        S.multi_geometric((F(1, 10), F(9, 10)), 1, prefix=(F(1, 50), F(3, 2))),
+    )
+    found = []
+    for spec in specs:
+        view = S.self_similar(S.term_tail_profile(spec).reordered)
+        for depth in range(13):
+            points = S.one_point_components(spec, depth)
+            union = S.build_cn(view, depth).fattened
+            assert points == tuple(F(p, union.den) for p in sorted({*union.lo, *union.hi}))
+            found.append(points)
+    assert [len(points) for points in found] == [
+        2, 4, 4, 12, 12, 36, 36, 108, 108, 324, 324, 972, 972,
+        2, 4, 4, 12, 12, 36, 36, 120, 120, 400, 400, 1344, 1344,
+        2, 2, 6, 6, 18, 18, 54, 54, 162, 162, 486, 486, 1458,
+        2, 4, 8, 8, 24, 56, 104, 240, 464, 992, 1952, 4032, 8000,
+    ]
+    digest = hashlib.sha256(repr(found).encode()).hexdigest()[:16]
+    assert digest == "a40e70d6a352ffbd"
+
+
 def test_classify_reads_reorder_strands_as_built(monkeypatch):
     # The reordering's strands come from from_strands, so the merge takes
     # them unchecked, and classify only walks them: no strand's proportion
@@ -259,8 +304,9 @@ def test_classify_reads_reorder_strands_as_built(monkeypatch):
     assert len(strands) == 2
     for strand in strands:
         assert "ratios" not in vars(strand.tail) and "total" not in vars(strand.tail)
-    # The view's period pattern is read from its heads and total.
-    assert "ratios" not in vars(profile.view.tail)
+    # The view's period pattern is read from its numerators, and the view
+    # self_similar builds on request derives no proportion either.
+    assert "ratios" not in vars(S.self_similar(profile.reordered).tail)
 
 
 def test_classify_of_a_plain_spec_builds_no_merge(monkeypatch):
@@ -424,7 +470,6 @@ def test_classify_pins_no_count_past_the_lower_bound(monkeypatch):
     assert verdict.profile == S.TermTailProfile(
         S.EventualVerdict(EventualKind.EVENTUALLY_BOUND, "pseries-monotone", 27, 27),
         S.power_sum(20),
-        S.power_sum(20),
         19,
         34,
     )
@@ -517,17 +562,18 @@ _strand_merges = st.one_of(
 def test_profile_view_builds_the_reordering_covers(spec):
     # The view has the reordering's terms in the same order, and its
     # closed-form tail sums equal the merge's, so the covers and relations
-    # classify reads on it are the reordering's.
+    # read on it are the reordering's.
     profile = S.term_tail_profile(spec)
+    view = S.self_similar(profile.reordered)
     assert isinstance(profile.reordered.tail, S.MergeTail)
-    assert isinstance(profile.view.tail, S.MultiGeometricTail)
+    assert isinstance(view.tail, S.MultiGeometricTail)
     for depth in range(13):
-        on_view = S.build_cn(profile.view, depth)
+        on_view = S.build_cn(view, depth)
         on_merge = S.build_cn(profile.reordered, depth)
         assert (on_view.fattened, on_view.inner, on_view.tail_used) == (
             on_merge.fattened, on_merge.inner, on_merge.tail_used
         )
-    assert S.term_tail_relations(profile.view, 24) == S.term_tail_relations(
+    assert S.term_tail_relations(view, 24) == S.term_tail_relations(
         profile.reordered, 24
     )
 
@@ -562,7 +608,8 @@ def test_integer_view_matches_the_merge_walk():
     build_cn = S.build_cn
     for spec in _integer_view_specs():
         profile = S.term_tail_profile(spec)
-        reordered, view = profile.reordered, profile.view
+        reordered, numerators = profile.reordered, profile.numerators
+        view = S.self_similar(reordered)
         m = len(view.tail.heads)
         if isinstance(reordered.tail, S.MergeTail):
             merges += 1
@@ -575,7 +622,8 @@ def test_integer_view_matches_the_merge_walk():
                     break
             assert view.prefix == reordered.prefix + tuple(walked[:-m])
             assert view.tail.heads == tuple(walked[-m:])
-            assert S.self_similar(reordered) == view
+            on_integers = numerators.prefix + numerators.heads
+            assert [F(x, numerators.den) for x in on_integers] == [*reordered.prefix, *walked]
         else:
             assert view is reordered
         count = len(view.prefix) + 3 * m
@@ -597,11 +645,12 @@ def _refuse(*args, **kwargs):
 
 
 def test_classify_large_power_sum_in_budget():
-    # An inexact total is compared index by index: shifting a power sum's
-    # bracket settles nothing and grows denominators near lcm(1..n)^p.
+    # The 438 tail indices with k < N = 439 switch from exceed to bound
+    # once, so a bisection compares 9 of them, each on its own bracket
+    # (0.03 s in process on 2 shared vCPUs, CPython 3.11).
     start = time.perf_counter()
     verdict = S.classify(S.power_sum(250))
-    assert time.perf_counter() - start < 1.5
+    assert time.perf_counter() - start < 0.5
     eventual = S.EventualVerdict(EventualKind.EVENTUALLY_BOUND, "pseries-monotone", 359, 359)
     assert verdict == S.Verdict(
         S.VerdictKind.FINITE_UNION,
@@ -612,20 +661,81 @@ def test_classify_large_power_sum_in_budget():
         component_lower=2**249,
         component_upper=2**439,
         translation=F(0),
-        profile=S.TermTailProfile(eventual, S.power_sum(250), S.power_sum(250), 249, 439),
+        profile=S.TermTailProfile(eventual, S.power_sum(250), 249, 439),
     )
 
 
 def test_classify_power_sum_400_in_budget():
-    # 1.0-1.5 s in process on 2 shared vCPUs (CPython 3.11): 575 head
-    # indices, each compared on its own bracket.
+    # 0.1 s in process on 2 shared vCPUs (CPython 3.11): the bisection
+    # compares 10 of the 703 tail indices with k < N = 704.
     start = time.perf_counter()
     verdict = S.classify(S.power_sum(400))
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 2
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert (verdict.component_lower, verdict.component_upper) == (2**399, 2**704)
     assert verdict.component_count is None
     assert verdict.profile.eventual.after == verdict.profile.eventual.exceed_count == 575
+
+
+def test_power_sum_400_profile_compares_ten_indices(monkeypatch):
+    # One compare_term_tail call per head index made 703; a bisection over
+    # 703 indices makes at most ceil(log2(704)) = 10.
+    calls = []
+    compare = S.compare_term_tail
+
+    def counted(spec, index):
+        calls.append(index)
+        return compare(spec, index)
+
+    for module in ("subsums.sequences", "subsums.classify"):
+        monkeypatch.setattr(sys.modules[module], "compare_term_tail", counted)
+    verdict = S.classify(S.power_sum(400))
+    assert len(calls) <= 10
+    assert verdict.profile.comparisons(577)[-3:] == (EX, BD, BD)
+
+
+def test_classify_power_sum_800_in_budget():
+    # 0.45 s in process on 2 shared vCPUs (CPython 3.11); 12 s when every
+    # head index was compared.
+    start = time.perf_counter()
+    verdict = S.classify(S.power_sum(800))
+    assert time.perf_counter() - start < 5
+    assert (verdict.component_lower, verdict.component_upper) == (2**799, 2**1409)
+    assert verdict.profile.eventual.after == verdict.profile.eventual.exceed_count == 1152
+
+
+def _relations_or_stuck(relate):
+    """The relations, or the index of the IndeterminateComparison raised."""
+    try:
+        return relate()
+    except S.IndeterminateComparison as stuck:
+        return stuck.index
+
+
+# Prefix terms n/k^e near a power sum's own terms, so that the reordering
+# absorbs some of its tail.
+_power_sum_prefixes = st.lists(
+    st.builds(lambda n, k, e: F(n, k**e), st.integers(1, 3), st.integers(1, 20), st.integers(1, 6)),
+    max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 9), _power_sum_prefixes)
+@example(2, 1, (F(16449340668482264365, 10**19),))
+def test_power_sum_profile_is_the_per_index_pass(p, start, prefix):
+    # Past the prefix the relations switch once from exceed to bound, so
+    # the bisected head and then the pattern equal compare_term_tail at
+    # every index, up to 3 past the analytic N; a prefix comparison that
+    # is stuck is stuck at the same index.
+    spec = S.power_sum(p, start=start, prefix=prefix)
+    reordered = S.nonincreasing_reorder(spec)
+    assert isinstance(reordered.tail, S.PowerSumTail)
+    count = len(reordered.prefix) + max(_pseries_bound_threshold(p) - reordered.tail.start, 0) + 3
+    expected = _relations_or_stuck(
+        lambda: tuple(S.compare_term_tail(reordered, i) for i in range(1, count + 1))
+    )
+    assert _relations_or_stuck(lambda: S.term_tail_profile(spec).comparisons(count)) == expected
 
 
 def test_classify_long_geometric_head_in_budget():
@@ -642,7 +752,7 @@ def test_classify_strand_merge_head_under_the_cap():
     # 1,111 merged terms are walked before both strands start, under
     # HEAD_TERM_CAP; the view keeps the first 1,109 as its prefix.
     verdict = S.classify(S.multi_geometric((F(1, 1000), F(1, 4000)), 1))
-    assert len(verdict.profile.view.prefix) == 1109
+    assert len(verdict.profile.numerators.prefix) == 1109
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert verdict.component_count == 1
 
@@ -666,7 +776,7 @@ def test_classify_2045_term_strand_head_in_budget():
     assert time.perf_counter() - started < 3
     assert verdict.kind is S.VerdictKind.FINITE_UNION
     assert verdict.component_count == 1
-    assert len(verdict.profile.view.prefix) == 2045
+    assert len(verdict.profile.numerators.prefix) == 2045
 
 
 def test_classify_undetermined_in_open_region():
@@ -860,14 +970,17 @@ def _check_against_the_oracle(verdict) -> str:
     for a last gap past depth 10.
     """
     profile = verdict.profile
+    if profile is None:
+        return ""
+    view = S.self_similar(profile.reordered) or profile.reordered
     if verdict.certificate == "AllExceed":
         for n in (6, 10):
-            assert S.oracle_cn(profile.view, n).components == 2**n
+            assert S.oracle_cn(view, n).components == 2**n
         return "all-exceed"
-    eventual = profile.eventual if profile is not None else None
+    eventual = profile.eventual
     if eventual is not None and eventual.kind is EventualKind.EVENTUALLY_BOUND and eventual.after <= 10:
         for n in range(eventual.after, 11):
-            assert S.oracle_cn(profile.view, n).components == verdict.component_count
+            assert S.oracle_cn(view, n).components == verdict.component_count
         return "bound"
     return ""
 

@@ -487,7 +487,7 @@ def test_term_tail_relations_match_pointwise_comparisons(spec, count):
 def test_exact_relation_pass_builds_no_enclosure_per_term(monkeypatch):
     # The pass subtracts each term from the exact total, so the enclosures
     # it builds do not grow with the count.
-    specs = (S.PRESETS["gn"], S.term_tail_profile(S.PRESETS["kenyon"]).view)
+    specs = (S.PRESETS["gn"], S.self_similar(S.term_tail_profile(S.PRESETS["kenyon"]).reordered))
     built = []
     init = S.TailEnclosure.__post_init__
 
