@@ -48,7 +48,9 @@ from .construction import _fold, build_cn, subset_sum_starts
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .rational import over_common_denominator
 from .sequences import (
+    EMPTY,
     REFINEMENT_STEPS,
+    ZERO,
     MultiGeometricTail,
     PowerSumTail,
     SequenceSpec,
@@ -66,8 +68,6 @@ from .sequences import (
     summability_of,
     term_tail_relations,
 )
-
-QUARTER = Fraction(1, 4)
 
 # Component cap of the folds classify runs to count components.
 COUNT_CAP = 1 << 18
@@ -158,7 +158,7 @@ def _region_verdict(head: tuple, pattern: tuple, proof: str) -> EventualVerdict:
     exceed = TermTailRelation.TERM_EXCEEDS_TAIL
     exceeds = [n for n, rel in enumerate(head, 1) if rel is exceed]
     if exceed in pattern:
-        if all(rel is exceed for rel in pattern) and len(exceeds) == len(head):
+        if TermTailRelation.TAIL_BOUNDS_TERM not in pattern and len(exceeds) == len(head):
             return EventualVerdict(EventualKind.ALL_EXCEED, proof, exceed_count=None)
         return EventualVerdict(EventualKind.EXCEEDS_INFINITELY_OFTEN, proof)
     return EventualVerdict(
@@ -375,19 +375,21 @@ def classify(spec) -> Verdict:
     pos, neg = sign_split(spec)
     plus, minus = pos.total(), neg.total()
     summability = summability_of(plus, minus)
+    # -|negative part|'s upper sum; with no negative part it is ZERO itself.
+    low = None if minus.hi is None else ZERO if minus.hi is ZERO else -minus.hi
     # The fields every verdict shares; each return builds one Verdict.
     shared = dict(
         summability=summability,
-        hull_lo=None if minus.hi is None else -minus.hi,
+        hull_lo=low,
         hull_hi=plus.hi,
-        hull_exact=all(side.exact for side in (plus, minus) if side.hi is not None),
+        hull_exact=(plus.hi is None or plus.exact) and (minus.hi is None or minus.exact),
     )
     if summability is SummabilityClass.CONDITIONALLY_SUMMABLE:
         return Verdict(VerdictKind.WHOLE_LINE, **shared)
     if summability is SummabilityClass.UNCONDITIONALLY_UNSUMMABLE:
         return Verdict(VerdictKind.UNBOUNDED_INTERVAL, **shared)
-    shared["translation"] = -minus.value if minus.exact else None
-    abs_spec = combine_parts((pos, neg))
+    shared["translation"] = low if minus.exact else None
+    abs_spec = pos if neg is EMPTY else combine_parts((pos, neg))
 
     finite_count = abs_spec.term_count()
     if finite_count is not None:
@@ -446,7 +448,7 @@ def classify(spec) -> Verdict:
         not reordered.prefix
         and isinstance(tail, MultiGeometricTail)
         and len(tail.heads) == 2
-        and tail.period_factor < QUARTER
+        and 4 * tail.period_factor.numerator < tail.period_factor.denominator
     ):
         return Verdict(VerdictKind.CANTOR_SET, certificate="LambdaBelowQuarter", **shared)
 

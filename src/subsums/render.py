@@ -22,6 +22,7 @@ CHART_HEIGHT = 200
 MIN_BAR_WIDTH = Fraction(1, 2)
 
 MARKED_CELL = (Fraction(9, 20), Fraction(6, 11))
+ONE = Fraction(1)
 
 VERDICT_FILL = {
     VerdictKind.FINITE_UNION: "#74add1",
@@ -114,7 +115,7 @@ class SweepGrid:
 def _classify_cell(alpha: Fraction, beta: Fraction) -> SweepCell:
     # The tail's period factor is lambda = (1 - alpha)(1 - beta), and a
     # prefix-free spec is non-increasing exactly when its tail is.
-    spec = multi_geometric((alpha, beta), Fraction(1))
+    spec = multi_geometric((alpha, beta), ONE)
     tail = spec.tail
     return SweepCell(alpha, beta, tail.period_factor, classify(spec), tail.nonincreasing)
 
@@ -136,10 +137,10 @@ def sweep(
         raise ValueError("resolution must be at least 2")
     denom = resolution + 1
     cells = []
+    betas = [Fraction(j, denom) for j in range(1, resolution + 1)]
     for i in range(1, resolution + 1):
-        for j in range(1, resolution + 1):
-            alpha = Fraction(i, denom)
-            beta = Fraction(j, denom)
+        alpha = Fraction(i, denom)
+        for beta in betas:
             cells.append(_classify_cell(alpha, beta))
     cells.append(_classify_cell(*MARKED_CELL))
     grid = SweepGrid(resolution, resolution, tuple(cells))

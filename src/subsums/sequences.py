@@ -5,28 +5,24 @@ finite (none), power-sum (1/k^p), multi-geometric (periodic tail
 proportions; one proportion is a geometric tail, which geometric()
 builds), or a descending merge of such streams. The four kinds share one
 base, _Tail: each defines term or terms and gets the other, plus pairs
-(the terms as integer (numerator, denominator) pairs), term_count and
-nonincreasing; each adds drop (what is left after its first terms),
-count_above (how many terms exceed a value, with no walk) and its
-tail-sum enclosure. So the spec-level functions ask the tail instead
-of branching on its kind. geometric_strands is the one reading of a tail
-as geometric strands with a common ratio; MultiGeometricTail.from_strands
-is the one way back. geometric(), the strands of nonincreasing_reorder,
-drop and self_similar's view are built with it, from heads and a ratio,
-so no ratios are turned back into heads, and the ratios and total are
-derived only when read. Sign and range checks compare integer numerators
-(a Fraction's denominator is positive), not Fractions. Terms are exact
-Fractions. A tail sum is an enclosure [lo, hi] of a positive sum with lo
-a finite Fraction: exact, a rigorous rational bracket (power sums use the
-integral test and can be refined by summing more terms explicitly), or
-divergent, with hi None. term_tail_relations compares every term
-with its tail: by one running subtraction from the total when it is
-exact, index by index through compare_term_tail when it is inexact, and
-with no term read when it diverges (an infinite tail bounds every term).
-integer_view reads self_similar's view only as integers over one
-closed-form denominator (ViewNumerators), from which self_similar builds
-its Fractions on request: it orders a strand merge's head by numerator,
-and the view's relations are the same running subtraction on them.
+(the terms as integer (numerator, denominator) pairs), term_count,
+nonincreasing and first; each adds drop, count_above (how many terms
+exceed a value, with no walk) and its tail-sum enclosure, so spec-level
+functions ask the tail instead of branching on its kind.
+
+A multi-geometric tail is built on integers: its ratios' numerators and
+denominators give its heads (one Fraction each), q and nonincreasing.
+geometric_strands reads a tail as strands with one ratio q, and the
+tails built from heads and q (geometric(), drop, the reordering's
+strands, self_similar's view) derive their ratios only when read. Sign
+and range checks compare integer numerators, not Fractions. A tail sum
+is an enclosure [lo, hi], lo finite: exact, a rigorous bracket (power
+sums: the integral test, refined by summing more terms) or divergent,
+hi None. term_tail_relations compares each term with its tail: by one
+running subtraction from an exact total, through compare_term_tail from
+an inexact one, with no term read from a divergent one. integer_view
+reads self_similar's view as integers over one closed-form denominator
+(ViewNumerators); self_similar builds its Fractions on request.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -66,7 +62,7 @@ REFINEMENT_STEPS = (8, 32, 128)
 HEAD_TERM_CAP = 1 << 11
 
 # (numerator, denominator) of a Fraction, already in lowest terms.
-_as_pair = operator.attrgetter("numerator", "denominator")
+_as_pair = Fraction.as_integer_ratio
 _first = operator.itemgetter(0)
 
 
@@ -137,8 +133,8 @@ class _Tail:
     Each kind defines term or terms, and the other is read from it: term
     walks the stream, terms maps term over 1, 2, ... A kind that defines
     neither recurses. Each kind adds drop, count_above and enclosure, and
-    overrides term_count (None here: endless), nonincreasing, pairs and
-    drop_above where its own answer differs. count_above(g) is the number
+    overrides term_count (None here: endless), nonincreasing, first, pairs
+    and drop_above where its own answer differs. count_above(g) is the number
     of terms greater than g > 0; it reads no term.
     """
 
@@ -151,6 +147,9 @@ class _Tail:
 
     def terms(self) -> Iterator[Fraction]:
         return map(self.term, itertools.count(1))
+
+    def first(self) -> Optional[Fraction]:
+        return next(self.terms(), None)
 
     def pairs(self) -> Iterator[tuple]:
         return map(_as_pair, self.terms())
@@ -247,10 +246,15 @@ class MultiGeometricTail(_Tail):
     and code that needs only m reads len(heads). from_strands builds the
     tail from heads and q alone: its ratios and total are derived on first
     read, then stored, so repr, equality and hash are those of the tail
-    built from the ratios. nonincreasing is computed once from the heads:
-    within a period it needs h_(j+1) <= h_j, and across periods
-    q h_0 <= h_(m-1) (always true for one strand), after which the pattern
-    repeats scaled by q.
+    built from the ratios. nonincreasing is computed once: within a period
+    it needs h_(j+1) <= h_j, and across periods q h_0 <= h_(m-1), after
+    which the pattern repeats scaled by q.
+
+    The ratios build the tail on integers. With n/d = r_j, N/D the total
+    and a/b the product of the 1 - r_i before it, what remains is
+    N a / (D b), head j is the one Fraction n N a / (d D b), and the last
+    a/b is q. h_(j+1) <= h_j exactly when r_(j+1) (1 - r_j) <= r_j, and
+    q h_0 <= h_(m-1) is that test on r_0 after r_(m-1).
     """
 
     ratios: tuple
@@ -260,21 +264,25 @@ class MultiGeometricTail(_Tail):
     nonincreasing: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ratios = tuple(as_fraction(r) for r in self.ratios)
+        ratios = tuple(map(as_fraction, self.ratios))
         total = as_fraction(self.total)
         if not ratios:
             raise ValueError("at least one proportion is required")
-        if any(not 0 < r.numerator < r.denominator for r in ratios):
-            raise ValueError("proportions must lie strictly between 0 and 1")
-        if total.numerator <= 0:
+        pairs = list(map(_as_pair, ratios))
+        for n, d in pairs:
+            if not 0 < n < d:
+                raise ValueError("proportions must lie strictly between 0 and 1")
+        big_n, big_d = _as_pair(total)
+        if big_n <= 0:
             raise ValueError("total must be positive")
-        heads = []
-        rest = total
-        for r in ratios:
-            heads.append(r * rest)
-            rest -= heads[-1]
-        self.__dict__.update(ratios=ratios, total=total)
-        self._store(tuple(heads), rest / total)
+        heads, a, b, nonincreasing = [], 1, 1, True
+        n0, d0 = pairs[-1]
+        for n, d in pairs:
+            heads.append(Fraction(n * big_n * a, d * big_d * b))
+            nonincreasing = nonincreasing and n * (d0 - n0) <= n0 * d
+            a, b, n0, d0 = a * (d - n), b * d, n, d
+        self.__dict__.update(ratios=ratios, total=total, heads=tuple(heads))
+        self.__dict__.update(period_factor=Fraction(a, b), nonincreasing=nonincreasing)
 
     @classmethod
     def from_strands(cls, heads, q) -> MultiGeometricTail:
@@ -284,19 +292,20 @@ class MultiGeometricTail(_Tail):
         """
         if not heads or any(head.numerator <= 0 for head in heads):
             raise ValueError("strand heads must be positive")
-        if not 0 < q.numerator < q.denominator:
+        a, b = _as_pair(q)
+        if not 0 < a < b:
             raise ValueError("period factor must lie strictly between 0 and 1")
-        tail = cls.__new__(cls)
-        tail._store(tuple(heads), q)
-        return tail
+        (n0, d0), (n, d) = _as_pair(heads[0]), _as_pair(heads[-1])
+        within = all(map(_at_most, heads[1:], heads))
+        return cls._of(tuple(heads), q, within and a * n0 * d <= n * b * d0)
 
-    def _store(self, heads, q) -> None:
+    @classmethod
+    def _of(cls, heads: tuple, q: Fraction, nonincreasing: bool = True) -> MultiGeometricTail:
+        """from_strands with nothing checked: one checked strand by default."""
+        tail = cls.__new__(cls)
         # The instance is frozen, so its fields are written to its __dict__.
-        self.__dict__.update(
-            heads=heads, period_factor=q,
-            nonincreasing=len(heads) == 1
-            or (all(map(_at_most, heads[1:], heads)) and _at_most(q * heads[0], heads[-1])),
-        )
+        tail.__dict__.update(heads=heads, period_factor=q, nonincreasing=nonincreasing)
+        return tail
 
     def __getattr__(self, name):
         # Called only for what __dict__ lacks: a from_strands tail's total
@@ -417,10 +426,12 @@ class MergeTail(_Tail):
             return None
         return sum(counts)
 
+    def first(self) -> Fraction:
+        # Parts are non-increasing, and none is a prefix-free merge: no walk.
+        return max(next(part.terms()) for part in self.parts)
+
     def drop(self, count: int) -> SequenceSpec:
-        return _wrap_merge(
-            drop_first(part, used) for part, used in zip(self.parts, self.consumed(count))
-        )
+        return _wrap_merge(map(drop_first, self.parts, self.consumed(count)))
 
     def count_above(self, g: Fraction) -> int:
         return sum(part.count_above(g) for part in self.parts)
@@ -432,8 +443,9 @@ class MergeTail(_Tail):
     def consumed(self, count: int) -> list:
         """Per-part term counts of the first `count` merged terms."""
         used = [0] * len(self.parts)
-        for _, idx in itertools.islice(self.walk(), count):
-            used[idx] += 1
+        if count:
+            for _, idx in itertools.islice(self.walk(), count):
+                used[idx] += 1
         return used
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
@@ -461,6 +473,8 @@ class SequenceSpec:
     def __post_init__(self):
         if not isinstance(self.tail, _TAIL_KINDS):
             raise UnsupportedKind(f"unknown tail kind {type(self.tail).__name__}")
+        if self.prefix == ():
+            return
         prefix = tuple(as_fraction(v) for v in self.prefix)
         if any(v.numerator <= 0 for v in prefix):
             raise ValueError("prefix terms must be positive")
@@ -576,7 +590,7 @@ def geometric(first, ratio, prefix=()) -> SequenceSpec:
         raise ValueError("geometric first term must be positive")
     if not 0 < ratio.numerator < ratio.denominator:
         raise ValueError("geometric ratio must lie strictly between 0 and 1")
-    return SequenceSpec(tuple(prefix), MultiGeometricTail.from_strands((first,), ratio))
+    return SequenceSpec(tuple(prefix), MultiGeometricTail._of((first,), ratio))
 
 
 def power_sum(exponent: int, start: int = 1, prefix=()) -> SequenceSpec:
@@ -603,7 +617,7 @@ def is_nonincreasing(spec: SequenceSpec) -> bool:
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         return False
     if values:
-        first = next(spec.tail.terms(), None)
+        first = spec.tail.first()
         if first is not None and values[-1] < first:
             return False
     return spec.tail.nonincreasing
@@ -634,10 +648,10 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     become a descending merge of their geometric strands (a geometric tail
     is its own one strand); an out-of-order prefix absorbs every tail term
     at least as large as its smallest entry. A spec that is already in
-    order is returned as is. Each strand is built by from_strands from one
-    head and q, so its proportion and total are never derived unless read,
-    and the merge takes the strands as built (MergeTail._of_strands): one
-    strand is non-increasing and endless, so nothing is re-checked.
+    order is returned as is. Each strand is the from_strands tail of one
+    head and q, and it and the merge are taken as built (_of, _of_strands):
+    one strand is non-increasing and endless, so nothing is re-checked, and
+    its proportion and total are never derived unless read.
     """
     prefix = tuple(sorted(spec.prefix, reverse=True))
     sorted_prefix = spec if prefix == spec.prefix else SequenceSpec(prefix, spec.tail)
@@ -646,9 +660,7 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     kind = spec.tail
     if isinstance(kind, MultiGeometricTail):
         q = kind.period_factor
-        strands = tuple(
-            SequenceSpec((), MultiGeometricTail.from_strands((head,), q)) for head in kind.heads
-        )
+        strands = tuple(SequenceSpec((), MultiGeometricTail._of((h,), q)) for h in kind.heads)
         # As _wrap_merge does, one prefix-free part stands unwrapped.
         body = strands[0] if len(strands) == 1 else SequenceSpec((), MergeTail._of_strands(strands))
     else:
@@ -659,12 +671,20 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
 
 
 def _absorb_prefix(prefix, body: SequenceSpec) -> SequenceSpec:
-    """Merge prefix terms into a non-increasing body spec: one walk reads the
-    terms it absorbs, and drop_above drops them (drop_first the ties)."""
+    """Merge prefix terms into a non-increasing prefix-free body spec. One
+    walk reads the terms it absorbs, each with its part, and each part
+    drops its own count of them, ties included."""
     threshold = min(prefix)
-    taken = tuple(itertools.takewhile(lambda value: value >= threshold, body.terms()))
-    rest = drop_first(body.drop_above(threshold), taken.count(threshold))
-    new_prefix = tuple(sorted(prefix + taken, reverse=True))
+    merged = isinstance(body.tail, MergeTail)
+    parts = body.tail.parts if merged else (body,)
+    used, taken = [0] * len(parts), []
+    for value, idx in body.tail.walk() if merged else zip(body.terms(), itertools.repeat(0)):
+        if value < threshold:
+            break
+        taken.append(value)
+        used[idx] += 1
+    rest = _wrap_merge(map(drop_first, parts, used))
+    new_prefix = tuple(sorted(prefix + tuple(taken), reverse=True))
     return SequenceSpec(new_prefix + rest.prefix, rest.tail)
 
 
@@ -679,15 +699,19 @@ def geometric_strands(tail) -> Optional[tuple]:
     """
     if isinstance(tail, MultiGeometricTail):
         return tail.heads, tail.period_factor
-    if not isinstance(tail, MergeTail) or any(part.prefix for part in tail.parts):
+    if not isinstance(tail, MergeTail):
         return None
-    kinds = [part.tail for part in tail.parts]
-    if not all(isinstance(kind, MultiGeometricTail) and len(kind.heads) == 1 for kind in kinds):
-        return None
-    q = kinds[0].period_factor
-    if any(kind.period_factor != q for kind in kinds):
-        return None
-    return tuple(kind.heads[0] for kind in kinds), q
+    heads, q = [], None
+    for part in tail.parts:
+        kind = part.tail
+        if part.prefix or not isinstance(kind, MultiGeometricTail) or len(kind.heads) > 1:
+            return None
+        # The strands of one reordering share q, so they compare no Fraction.
+        if q is not None and kind.period_factor is not q and kind.period_factor != q:
+            return None
+        heads += kind.heads
+        q = kind.period_factor
+    return tuple(heads), q
 
 
 def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
@@ -762,13 +786,14 @@ class ViewNumerators(NamedTuple):
 def _head_takes(firsts: list, a: int, b: int) -> list:
     """Terms of each strand up to where the last one starts (see
     self_similar), from the heads' numerators firsts over one denominator."""
-    last = min(range(len(firsts)), key=lambda j: (firsts[j], -j))
+    least = min(firsts)
+    last = len(firsts) - 1 - firsts[::-1].index(least)
     takes = [1] * len(firsts)
     walked = 1
     for j, first in enumerate(firsts):
         if j == last:
             continue
-        u, v, take = first, firsts[last], 0
+        u, v, take = first, least, 0
         while u > v or (u == v and j < last):
             walked += 1
             if walked > HEAD_TERM_CAP:
@@ -791,22 +816,24 @@ def integer_view(spec: SequenceSpec) -> Optional[ViewNumerators]:
     if strands is None:
         return None
     heads, q = strands
-    a, b, m = q.numerator, q.denominator, len(heads)
-    den = math.lcm(*(v.denominator for v in spec.prefix), *(h.denominator for h in heads))
-    firsts = [h.numerator * (den // h.denominator) for h in heads]
+    a, b = _as_pair(q)
+    m, n = len(heads), len(spec.prefix)
+    pairs = [*map(_as_pair, spec.prefix), *map(_as_pair, heads)]
+    den = math.lcm(*[d for _, d in pairs])
+    numerators = [x * (den // d) for x, d in pairs]
     plain = isinstance(spec.tail, MultiGeometricTail)
-    takes = [1] * m if plain else _head_takes(firsts, a, b)
+    takes = [1] * m if plain else _head_takes(numerators[n:], a, b)
     scale = b ** (max(takes) - 1) * (b - a)
     merged = []
-    for first, take in zip(firsts, takes):
-        x = first * scale
+    for x, take in zip(numerators[n:], takes):
+        x *= scale
         merged.append(x)
         for _ in range(take - 1):
             x = x // b * a
             merged.append(x)
     if not plain:
         merged.sort(reverse=True)
-    prefix = [v.numerator * (den // v.denominator) * scale for v in spec.prefix]
+    prefix = [x * scale for x in numerators[:n]]
     period = merged[-m:]
     return ViewNumerators(prefix + merged[:-m], period, sum(period) // (b - a) * b, den * scale)
 

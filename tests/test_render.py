@@ -210,3 +210,19 @@ def test_px_examples():
     ]
     assert _px(200, 3) == "66.67" and _px(-200, 3) == "-66.67"
     assert _px(1000) == "1000.00"
+
+
+def test_sweep_builds_no_tail_from_strands(monkeypatch):
+    # Each cell's tail is built from its ratios on integers, and the
+    # reordering takes its strands with nothing re-checked, so no cell
+    # builds a tail through from_strands.
+    built = []
+    from_strands = S.MultiGeometricTail.from_strands.__func__
+
+    def counted(cls, heads, q):
+        built.append(heads)
+        return from_strands(cls, heads, q)
+
+    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    grid = S.sweep(21)
+    assert len(grid.cells) == 442 and built == []

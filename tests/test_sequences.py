@@ -3,6 +3,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -411,6 +412,144 @@ def test_from_strands_validation():
     for q in (F(0), F(1), F(3, 2)):
         with pytest.raises(ValueError, match="period factor must lie strictly between 0 and 1"):
             S.MultiGeometricTail.from_strands((F(1),), q)
+
+
+def _as_text_or_int(value):
+    """value as a string or, when it is whole, an int: the other inputs a
+    tail coerces."""
+    return st.sampled_from([str(value), value] + ([int(value)] if value.denominator == 1 else []))
+
+
+@given(
+    st.lists(_ratios.flatmap(_as_text_or_int), min_size=1, max_size=4),
+    st.fractions(min_value=F(1, 40), max_value=F(5), max_denominator=40).flatmap(_as_text_or_int),
+)
+@example(["1/2", "1/2"], 1)
+@example([F(1, 3), "2/3", F(1, 12), "11/12"], "3")
+def test_integer_construction_matches_the_recurrence(ratios, total):
+    # The heads, q and nonincreasing come from integer numerators; each must
+    # equal what the recurrence head = r * rest, rest -= head gives.
+    tail = S.MultiGeometricTail(tuple(ratios), total)
+    coerced = tuple(F(r) for r in ratios)
+    heads, rest = [], F(total)
+    for r in coerced:
+        heads.append(r * rest)
+        rest -= heads[-1]
+    q = rest / F(total)
+    assert (tail.ratios, tail.total) == (coerced, F(total))
+    assert tail.heads == tuple(heads) and tail.period_factor == q
+    terms = [h * q**w for w in range(3) for h in heads] + [heads[0] * q**3]
+    assert tail.nonincreasing == all(b <= a for a, b in zip(terms, terms[1:]))
+    assert repr(tail) == f"MultiGeometricTail(ratios={coerced!r}, total={F(total)!r})"
+    for same in (S.MultiGeometricTail(coerced, F(total)), S.MultiGeometricTail.from_strands(tuple(heads), q)):
+        assert tail == same and hash(tail) == hash(same) and repr(tail) == repr(same)
+        assert (same.heads, same.period_factor, same.nonincreasing) == (
+            tail.heads, tail.period_factor, tail.nonincreasing
+        )
+
+
+def test_integer_construction_errors_keep_their_order():
+    # Coercion first, then an empty list, then each ratio, then the total;
+    # a zero total is a ValueError, never a ZeroDivisionError.
+    cases = [
+        (((), 0), "at least one proportion is required"),
+        (((), -1), "at least one proportion is required"),
+        (((F(0),), 1), "proportions must lie strictly between 0 and 1"),
+        (((F(1, 2), 1), 1), "proportions must lie strictly between 0 and 1"),
+        (((F(1, 2), "-1/3"), 0), "proportions must lie strictly between 0 and 1"),
+        ((("1/2",), 0), "total must be positive"),
+        (((F(1, 2), F(1, 3)), "-2/3"), "total must be positive"),
+    ]
+    for (ratios, total), message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            S.MultiGeometricTail(ratios, total)
+    with pytest.raises(TypeError):
+        S.MultiGeometricTail((), 0.5)
+    with pytest.raises(TypeError):
+        S.MultiGeometricTail((0.5,), 0)
+
+
+@given(st.lists(_ratios, min_size=1, max_size=4), _values)
+def test_reordered_strands_equal_from_strands(ratios, total):
+    # The reordering builds each strand with nothing checked; each must be
+    # the tail from_strands builds from its head and q.
+    tail = S.MultiGeometricTail(tuple(ratios), total)
+    reordered = S.nonincreasing_reorder(S.SequenceSpec((), tail))
+    if tail.nonincreasing:
+        assert reordered.tail is tail
+        return
+    strands = reordered.tail.parts if len(ratios) > 1 else (reordered,)
+    assert len(strands) == len(ratios)
+    for strand, head in zip(strands, tail.heads):
+        built = S.MultiGeometricTail.from_strands((head,), tail.period_factor)
+        assert not strand.prefix and _fields(strand.tail) == _fields(built)
+        assert strand.tail == built and hash(strand.tail) == hash(built)
+        assert repr(strand.tail) == repr(built)
+
+
+def _absorbed_by_dropping_above(spec):
+    """The reordering of a prefixed merge as drop_above and drop_first give
+    it: the walked terms at least the least prefix term join the prefix,
+    each part loses its terms above it, and the merge its ties."""
+    body = S.SequenceSpec((), spec.tail)
+    threshold = min(spec.prefix)
+    taken = tuple(itertools.takewhile(lambda value: value >= threshold, body.terms()))
+    rest = S.drop_first(body.drop_above(threshold), taken.count(threshold))
+    prefix = tuple(sorted(spec.prefix + taken, reverse=True))
+    return S.SequenceSpec(prefix + rest.prefix, rest.tail)
+
+
+def _prefixed_merges_with_ties():
+    rng = random.Random(32)
+
+    def fraction(top):
+        den = rng.randint(2, top)
+        return F(rng.randint(1, den - 1), den)
+
+    for k in range(120):
+        q = fraction(6)
+        heads = [fraction(8) for _ in range(rng.randint(2, 3))]
+        if k % 2:
+            heads[-1] = heads[0] * q ** rng.randint(0, 2)
+        parts = [S.geometric(h, q) for h in heads]
+        if k % 3 == 0:
+            parts.append(S.power_sum(2, rng.randint(1, 3)))
+        # The least prefix term ties a tail term past a strand head, so the
+        # prefix is out of order and ties are absorbed.
+        tie = heads[rng.randrange(len(heads))] * q ** rng.randint(1, 3)
+        prefix = (tie, *(fraction(8) * rng.randint(1, 3) for _ in range(rng.randint(0, 2))))
+        yield S.SequenceSpec(tuple(sorted(prefix)), S.MergeTail(tuple(parts)))
+
+
+def test_prefixed_merge_reordering_walks_once(monkeypatch):
+    # is_nonincreasing reads a merge's first term from its parts, and one
+    # walk gives the absorbed terms with their parts, ties included.
+    walks = []
+    walk = S.MergeTail.walk
+    expected = {spec: _absorbed_by_dropping_above(spec) for spec in _prefixed_merges_with_ties()}
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(S.MergeTail, "walk", counted)
+    for spec, reference in expected.items():
+        walks.clear()
+        reordered = S.nonincreasing_reorder(spec)
+        assert len(walks) == 1
+        assert reordered == reference and repr(reordered) == repr(reference)
+        monkeypatch.setattr(S.MergeTail, "walk", walk)
+        assert take(reordered, 12) == sorted(take(spec, 40), reverse=True)[:12]
+        monkeypatch.setattr(S.MergeTail, "walk", counted)
+    half = F(1, 2)
+    strands = S.MergeTail((S.geometric(half, half), S.geometric(F(3, 8), half)))
+    spec = S.SequenceSpec((F(1, 8), half), strands)
+    walks.clear()
+    S.nonincreasing_reorder(spec)
+    assert len(walks) == 1
+    walks.clear()
+    S.classify(spec)
+    assert len(walks) == 1
 
 
 @settings(max_examples=40, deadline=None)
