@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .construction import _fold, build_cn, subset_sum_starts
+from .construction import DEFAULT_CAP, _fold, build_cn
 from .errors import CapExceeded, NotApplicable, NotDigitForm
 from .rational import over_common_denominator
 from .sequences import (
@@ -59,7 +59,6 @@ from .sequences import (
     ViewNumerators,
     combine_parts,
     compare_term_tail,
-    finite,
     geometric_strands,
     integer_view,
     nonincreasing_reorder,
@@ -240,9 +239,10 @@ def digit_form(spec: SequenceSpec) -> tuple:
     """Reduce a spec to integer digit strands over a base.
 
     Works when the terms split into geometric strands with a common ratio
-    1/base: strand j contributes p_j / base^k for k >= 1. The numerators
-    are scaled to integers with content 1, which preserves residue
-    coverage. Raises NotDigitForm otherwise.
+    1/base: strand j contributes p_j / base^k for k >= 1. The p_j are the
+    heads' numerators over one common denominator divided by their gcd, so
+    their content is 1, which preserves residue coverage. Raises
+    NotDigitForm otherwise.
     """
     if spec.prefix:
         raise NotDigitForm("digit strands need a prefix-free spec")
@@ -252,14 +252,9 @@ def digit_form(spec: SequenceSpec) -> tuple:
     heads, ratio = strands
     if ratio.numerator != 1 or ratio.denominator < 2:
         raise NotDigitForm(f"strand ratio {ratio} is not 1/base")
-    base = ratio.denominator
-    scaled = [h * base for h in heads]
-    content = Fraction(
-        math.gcd(*(q.numerator for q in scaled)),
-        math.lcm(*(q.denominator for q in scaled)),
-    )
-    numerators = tuple(int(q / content) for q in scaled)
-    return base, numerators
+    _, numerators = over_common_denominator(heads)
+    content = math.gcd(*numerators)
+    return ratio.denominator, tuple(n // content for n in numerators)
 
 
 def digit_coverage_test(base: int, numerators) -> Optional[CoverageCertificate]:
@@ -279,8 +274,7 @@ def digit_coverage_test(base: int, numerators) -> Optional[CoverageCertificate]:
     numerators = tuple(int(n) for n in numerators)
     if any(n <= 0 for n in numerators):
         raise ValueError("numerators must be positive integers")
-    sums = subset_sum_starts(finite(numerators), len(numerators))
-    digits = tuple(int(s) for s in sums)
+    digits = tuple(_fold(list(numerators), 0, DEFAULT_CAP)[0])
     residues = {d % base for d in digits}
     if len(residues) < base:
         return None

@@ -10,19 +10,20 @@ nonincreasing and first; each adds drop, count_above (how many terms
 exceed a value, with no walk) and its tail-sum enclosure, so spec-level
 functions ask the tail instead of branching on its kind.
 
-A multi-geometric tail is built on integers: its ratios' numerators and
-denominators give its heads (one Fraction each), q and nonincreasing.
-geometric_strands reads a tail as strands with one ratio q, and the
-tails built from heads and q (geometric(), drop, the reordering's
-strands, self_similar's view) derive their ratios only when read. Sign
-and range checks compare integer numerators, not Fractions. A tail sum
-is an enclosure [lo, hi], lo finite: exact, a rigorous bracket (power
-sums: the integral test, refined by summing more terms) or divergent,
-hi None. term_tail_relations compares each term with its tail: by one
-running subtraction from an exact total, through compare_term_tail from
-an inexact one, with no term read from a divergent one. integer_view
-reads self_similar's view as integers over one closed-form denominator
-(ViewNumerators); self_similar builds its Fractions on request.
+A multi-geometric tail is built on integers: its ratios give its heads
+(one Fraction each), q and nonincreasing. geometric_strands reads a tail
+as strands with one ratio q; the tails built unchecked from heads and q
+(geometric(), drop, the reordering's strands, self_similar's view) derive
+their ratios only when read. _count_above counts a strand's terms above a
+value on integers, for count_above and the view's head. Sign and range
+checks compare integer numerators. A tail sum is an enclosure [lo, hi],
+lo finite: exact, a rigorous bracket (power sums: the integral test,
+refined by summing more terms) or divergent, hi None. term_tail_relations
+compares each term with its tail: by one running subtraction from an
+exact total, through compare_term_tail from an inexact one, with no term
+read from a divergent one. integer_view reads self_similar's view as
+integers over one closed-form denominator (ViewNumerators); self_similar
+builds its Fractions on request.
 
 Every SequenceSpec is positive, and every algorithm built on it (covers,
 the oracle, fill, reordering, digit certificates) sees positive terms
@@ -60,6 +61,9 @@ REFINEMENT_STEPS = (8, 32, 128)
 # Most merged terms self_similar reads before every strand has started:
 # multi_geometric((1/1000, 1/4000), 1) needs 1,111, the 1/10^4 one 11,092.
 HEAD_TERM_CAP = 1 << 11
+
+# Most bits of a power b^(2^k) that _count_above builds, for q = a/b.
+_POWER_BITS_CAP = 1 << 22
 
 # (numerator, denominator) of a Fraction, already in lowest terms.
 _as_pair = Fraction.as_integer_ratio
@@ -119,6 +123,32 @@ def _integer_root(n: int, p: int) -> int:
         if step >= k:
             return k
         k = step
+
+
+def _count_above(u: int, v: int, a: int, b: int, ties=False, most=None) -> int:
+    """How many w >= 0 have u a^w > v b^w (>= with ties), for 0 < a < b.
+
+    As u a^w / (v b^w) falls, they are the w below the count c. Squaring
+    while u a^(2^k) passes puts c - 1 below 2^k, and each lower bit of c - 1,
+    from the top, takes one product. The squaring stops at 2^k >= most,
+    returning most + 1, and raises CapExceeded before a power would pass
+    _POWER_BITS_CAP bits.
+    """
+    beats = operator.ge if ties else operator.gt
+    powers = [(a, b)]
+    while beats(u * a, v * b):
+        if most is not None and 1 << len(powers) - 1 >= most:
+            return most + 1
+        if 2 * b.bit_length() > _POWER_BITS_CAP:
+            raise CapExceeded(f"strand count needs powers past {_POWER_BITS_CAP} bits")
+        a, b = a * a, b * b
+        powers.append((a, b))
+    w, x, y = 0, u, v
+    for a, b in powers[-2::-1]:
+        xa, yb, w = x * a, y * b, 2 * w
+        if beats(xa, yb):
+            w, x, y = w + 1, xa, yb
+    return w + 1 if beats(u, v) else 0
 
 
 def _at_most(a, b) -> bool:
@@ -349,27 +379,13 @@ class MultiGeometricTail(_Tail):
         scale = q**whole
         heads = [head * scale for head in self.heads[part:]]
         heads += [head * scale * q for head in self.heads[:part]]
-        return SequenceSpec((), MultiGeometricTail.from_strands(tuple(heads), q))
+        # A rise x_(i+1) > x_i recurs, scaled by q, every period: the rest keeps nonincreasing.
+        return SequenceSpec((), MultiGeometricTail._of(tuple(heads), q, self.nonincreasing))
 
     def count_above(self, g: Fraction) -> int:
-        # Strand j holds heads[j] * q^w for w = 0, 1, ...; its count is the
-        # least w with heads[j] * q^w <= g, found by doubling and bisection.
-        q = self.period_factor
-        count = 0
-        for head in self.heads:
-            if head <= g:
-                continue
-            above, fits = 0, 1
-            while head * q**fits > g:
-                above, fits = fits, 2 * fits
-            while fits - above > 1:
-                mid = (above + fits) // 2
-                if head * q**mid > g:
-                    above = mid
-                else:
-                    fits = mid
-            count += fits
-        return count
+        # Strand j holds n/d q^w, above g = gn/gd when n gd a^w > gn d b^w.
+        (a, b), (gn, gd) = _as_pair(self.period_factor), _as_pair(g)
+        return sum(_count_above(n * gd, gn * d, a, b) for n, d in map(_as_pair, self.heads))
 
     def enclosure(self, skip: int, extra: int = 0) -> TailEnclosure:
         return TailEnclosure.point(self.remaining(skip))
@@ -720,8 +736,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     A multi-geometric tail is its own view. A merge of m geometric strands
     with one common ratio q = a/b is read up to merged position k, where
     its last strand starts; the view's prefix is the spec's prefix plus the
-    first k - m merged terms, and its tail is from_strands of the next m
-    terms and q. Returns None for any other tail. Raises CapExceeded,
+    first k - m merged terms, and its tail has the next m terms as strand
+    heads and q. Returns None for any other tail. Raises CapExceeded,
     before any term is built, when k would pass HEAD_TERM_CAP. The view's
     terms are integer_view's numerators x as Fraction(x, D); no other code
     builds them.
@@ -754,7 +770,8 @@ def self_similar(spec: SequenceSpec) -> Optional[SequenceSpec]:
     values = tuple(Fraction(x, numerators.den) for x in numerators.prefix + numerators.heads)
     m = len(numerators.heads)
     q = geometric_strands(spec.tail)[1]
-    return SequenceSpec(values[:-m], MultiGeometricTail.from_strands(values[-m:], q))
+    # The view is the sorted merge, so its tail never rises: nothing to check.
+    return SequenceSpec(values[:-m], MultiGeometricTail._of(values[-m:], q))
 
 
 class ViewNumerators(NamedTuple):
@@ -783,26 +800,6 @@ class ViewNumerators(NamedTuple):
         )
 
 
-def _head_takes(firsts: list, a: int, b: int) -> list:
-    """Terms of each strand up to where the last one starts (see
-    self_similar), from the heads' numerators firsts over one denominator."""
-    least = min(firsts)
-    last = len(firsts) - 1 - firsts[::-1].index(least)
-    takes = [1] * len(firsts)
-    walked = 1
-    for j, first in enumerate(firsts):
-        if j == last:
-            continue
-        u, v, take = first, least, 0
-        while u > v or (u == v and j < last):
-            walked += 1
-            if walked > HEAD_TERM_CAP:
-                raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
-            u, v, take = u * a, v * b, take + 1
-        takes[j] = take
-    return takes
-
-
 def integer_view(spec: SequenceSpec) -> Optional[ViewNumerators]:
     """The ViewNumerators of self_similar(spec), or None when it has no view.
 
@@ -822,7 +819,16 @@ def integer_view(spec: SequenceSpec) -> Optional[ViewNumerators]:
     den = math.lcm(*[d for _, d in pairs])
     numerators = [x * (den // d) for x, d in pairs]
     plain = isinstance(spec.tail, MultiGeometricTail)
-    takes = [1] * m if plain else _head_takes(numerators[n:], a, b)
+    takes, walked = [1] * m, 0
+    if not plain:
+        # Strand j's terms up to h_l, the last strand to start (see self_similar).
+        least = min(numerators[n:])
+        last = m - 1 - numerators[::-1].index(least)
+        for j, first in enumerate(numerators[n:]):
+            takes[j] = _count_above(first, least, a, b, j <= last, HEAD_TERM_CAP - walked)
+            walked += takes[j]
+            if walked > HEAD_TERM_CAP:
+                raise CapExceeded(f"strand merge head passes {HEAD_TERM_CAP} terms")
     scale = b ** (max(takes) - 1) * (b - a)
     merged = []
     for x, take in zip(numerators[n:], takes):

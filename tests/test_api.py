@@ -1,8 +1,10 @@
 """The public names of the package, pinned so that any addition or removal
 shows up as a one-line diff here."""
+import ast
 import inspect
 from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +139,29 @@ def test_sign_split_returns_two_specs():
     parts = S.sign_split(signed)
     assert len(parts) == 2
     assert all(isinstance(part, S.SequenceSpec) for part in parts)
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads (__future__ imports aside)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_import_no_unused_name():
+    package = Path(S.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) >= 11
+    for path in modules:
+        assert _unused_imports(path.read_text()) == [], path.name
+
+
+def test_unused_import_check_sees_an_unused_name():
+    assert _unused_imports("import math\nfrom fractions import Fraction as F\nF(1)\n") == ["math"]
+    assert _unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []

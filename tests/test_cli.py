@@ -236,6 +236,18 @@ def test_fill_past_the_run_term_cap_exits_2(capsys):
     assert "CapExceeded" in err
 
 
+def test_fill_with_a_ratio_near_1_exits_2_fast(tmp_path):
+    path = tmp_path / "near-one.json"
+    path.write_text(json.dumps({"merge": [
+        _HARMONIC_PART, {"tail": {"kind": "geometric", "a": "1/2", "rho": "999999/1000000"}},
+    ]}))
+    started = time.perf_counter()
+    fresh = run_fresh("fill", "--seq", str(path), "--target", "3", "--eps", "1/1000000", timeout=30)
+    assert time.perf_counter() - started < 2
+    assert fresh.returncode == 2
+    assert "CapExceeded" in fresh.stderr.decode()
+
+
 def test_classify_past_the_head_term_cap_exits_2(tmp_path):
     path = tmp_path / "long-head.json"
     path.write_text(json.dumps(

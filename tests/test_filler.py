@@ -299,3 +299,13 @@ def test_fill_run_term_cap():
     assert time.perf_counter() - began < 5
     # Target 12 has a first run of 91,379 terms, under the cap.
     assert S.fill(S.PRESETS["harmonic"], F(12), F(1, 10**6)).runs[0] == (1, 91379)
+
+
+def test_fill_with_a_ratio_near_1_fails_fast():
+    # Counting the geometric part's terms above the first gap would need
+    # powers of about 3 * 10^8 bits; the count refuses them at once.
+    spec = S.MergedSpec((S.power_sum(1), S.geometric(F(1, 2), F(999999, 10**6))))
+    began = time.perf_counter()
+    with pytest.raises(S.CapExceeded, match="strand count needs powers past"):
+        S.fill(spec, 3, F(1, 10**6))
+    assert time.perf_counter() - began < 2

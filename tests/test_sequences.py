@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import subsums as S
-from subsums.sequences import REFINEMENT_STEPS, _integer_root
+from subsums.sequences import REFINEMENT_STEPS, _count_above, _integer_root
 
 
 def take(spec, n):
@@ -399,6 +400,35 @@ def test_merge_of_equal_strands_alternates_part_indices():
     assert [idx for _, idx in itertools.islice(walk, 10)] == [0, 1] * 5
 
 
+def test_drop_and_self_similar_build_no_tail_through_from_strands(monkeypatch):
+    built = []
+    from_strands = S.MultiGeometricTail.from_strands.__func__
+
+    def counted(cls, heads, q):
+        built.append(heads)
+        return from_strands(cls, heads, q)
+
+    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    for spec in (S.PRESETS["gn"], S.PRESETS["kenyon"], S.multi_geometric((F(1, 10), F(1, 40)), 1)):
+        for k in range(7):
+            S.drop_first(spec, k)
+        S.self_similar(S.nonincreasing_reorder(spec))
+    assert built == []
+
+
+@given(st.lists(_ratios, min_size=1, max_size=4), _values)
+@example([F(11, 12), F(1, 12)], F(1))
+def test_drop_keeps_nonincreasing(ratios, total):
+    # Non-monotone tails too: a rise recurs in every period, so each rest
+    # of the tail rises exactly when the whole tail does.
+    tail = S.MultiGeometricTail(tuple(ratios), total)
+    for k in range(3 * len(ratios) + 1):
+        dropped = tail.drop(k).tail
+        assert dropped.nonincreasing == tail.nonincreasing
+        checked = S.MultiGeometricTail.from_strands(dropped.heads, dropped.period_factor)
+        assert checked.nonincreasing == dropped.nonincreasing and checked == dropped
+
+
 def test_from_strands_tail_reads_no_other_missing_attribute():
     tail = S.MultiGeometricTail.from_strands((F(1, 2),), F(1, 3))
     with pytest.raises(AttributeError, match="no attribute 'heights'"):
@@ -772,6 +802,8 @@ def test_power_sum_pairs_build_no_fraction(monkeypatch):
 
 _fractions = st.fractions(min_value=F(1, 20), max_value=F(3, 2), max_denominator=60)
 _proportions = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=20)
+# Geometric ratios near 1, and the proportions that give period factors near 1.
+_near_one = st.sampled_from((F(99, 100), F(999, 1000), F(9999, 10000)))
 
 
 @st.composite
@@ -783,8 +815,8 @@ def _single_tail_specs(draw):
     if kind == "power-sum":
         return S.power_sum(draw(st.integers(1, 3)), start=draw(st.integers(1, 5)))
     if kind == "geometric":
-        return S.geometric(draw(_fractions), draw(_proportions))
-    ratios = draw(st.lists(_proportions, min_size=2, max_size=3))
+        return S.geometric(draw(_fractions), draw(_proportions | _near_one))
+    ratios = draw(st.lists(_proportions | _near_one.map(lambda r: 1 - r), min_size=2, max_size=3))
     spec = S.multi_geometric(ratios, draw(_fractions))
     assume(spec.tail.nonincreasing)
     return spec
@@ -832,6 +864,52 @@ def test_count_above_and_drop_above_match_scanning(spec, data):
     assume(count is not None)
     assert spec.count_above(g) == count
     assert take(spec.drop_above(g), 20) == take(spec, count + 20)[count:]
+
+
+def _per_term_count(u, v, a, b, ties):
+    """The w >= 0 with u a^w > v b^w (>= with ties), counted one term at a time."""
+    w = 0
+    while u * a**w > v * b**w or ties and u * a**w == v * b**w:
+        w += 1
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(2, 40).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+    st.booleans(),
+    st.integers(0, 12) | st.none(),
+)
+def test_count_above_routine_matches_its_definition(u, v, ab, ties, exact_at):
+    a, b = ab
+    if exact_at is not None:
+        # u a^w = v b^w exactly at w = exact_at.
+        u, v = v * b**exact_at, v * a**exact_at
+    assert _count_above(u, v, a, b, ties) == _per_term_count(u, v, a, b, ties)
+
+
+def test_count_above_routine_stops_past_most():
+    # 2^9 > 2^w for w = 0 .. 8, so the count is 9; past most it may come
+    # back as most + 1, but never as a value at most most.
+    assert _count_above(2**9, 1, 1, 2) == 9
+    for most in range(9):
+        assert _count_above(2**9, 1, 1, 2, most=most) > most
+    assert _count_above(2**9, 1, 1, 2, most=9) == 9
+
+
+def test_count_above_near_one_keeps_deep_counts_and_fails_fast():
+    # q = 999/1000 down to 10^-60 needs powers of about 1.3 M bits: counted.
+    g, half, q = F(1, 10**60), F(1, 2), F(999, 1000)
+    count = S.geometric(half, q).count_above(g)
+    assert half * q ** (count - 1) > g >= half * q**count
+    # q = 999999/10^6 down to 10^-6 would need powers of about 3 * 10^8
+    # bits: refused before they are built.
+    began = time.perf_counter()
+    with pytest.raises(S.CapExceeded, match="strand count needs powers past"):
+        S.geometric(half, F(999999, 10**6)).count_above(F(1, 10**6))
+    assert time.perf_counter() - began < 2
 
 
 def test_count_above_walks_no_merge(monkeypatch):
