@@ -8,18 +8,19 @@ two-case argument (start term above or below g/2) shows each round at
 least halves the gap, so finitely many rounds reach any eps.
 
 The terms are non-increasing, so that index is 1 + spec.count_above(g),
-which each tail kind gives in closed form. It lies past the last run: that
-run stopped at a term that did not fit, and the new gap is below it.
+which each tail kind gives in closed form; spec.split_above(g) gives it
+with the spec less those terms, counting each merge part once. It lies
+past the last run: that run stopped at a term that did not fit.
 
-A run is summed on plain integers. Its terms come from the spec's stream
-of (numerator, denominator) pairs (SequenceSpec.pairs; a power-sum tail
-yields (1, k**p) without building a Fraction), in blocks of 1, 2, 4, ...
-terms up to BLOCK_CAP. Each block is summed by a balanced pairwise tree,
-one comprehension per level, into an unreduced pair, and added to the
-run on the lcm of the two denominators. A block that fits whole is taken
-whole; the first block that overshoots is scanned term by term. The run
-sum becomes one Fraction per round. A run reads at most RUN_TERM_CAP
-terms from its stream and raises CapExceeded before it would read more.
+A run is summed on plain integers. Its terms come from the rest's stream
+of (numerator, denominator) pairs (a power-sum tail yields (1, k**p)
+without building a Fraction), in blocks of 1, 2, 4, ... terms up to
+BLOCK_CAP, each summed by rational.sum_tree into an unreduced pair. A
+block that fits whole is taken whole; the first block that overshoots is
+not scanned but descended, taking a left half whenever the run plus it
+fits, so each term is added once, in the tree. The run sum becomes one
+Fraction per round. A run reads at most RUN_TERM_CAP terms from its
+stream and raises CapExceeded before it would read more.
 """
 from __future__ import annotations
 
@@ -29,13 +30,12 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceeded, NotDivergent
-from .rational import as_fraction
-from .sequences import SequenceSpec, is_nonincreasing, positive_spec
+from .rational import as_fraction, sum_tree
+from .sequences import is_nonincreasing, positive_spec
 
 DEFAULT_MAX_ROUNDS = 64
 # Largest block of a run summed at once: past it the unreduced block sum
-# grows faster than the additions it saves. A power of two, as _block_sum
-# needs.
+# grows faster than the additions it saves.
 BLOCK_CAP = 256
 # Most terms one run may read. The harmonic series needs a first run of
 # about e^(target - 0.58) terms, and the exact gap's digits grow with it:
@@ -67,60 +67,39 @@ def _add(num: int, den: int, a: int, b: int) -> tuple:
     return num * (b // g) + a * (den // g), den // g * b
 
 
-def _block_sum(block: list) -> tuple:
-    """Sum of the block's (numerator, denominator) pairs, unreduced.
-
-    A balanced tree: each level adds neighbouring pairs on the lcm of
-    their denominators, as _add does, in one comprehension. The block
-    holds a power-of-two number of pairs (_longest_run reads blocks of
-    1, 2, 4, ... up to BLOCK_CAP from an endless stream), so every level
-    pairs up evenly; zip's strict check refuses any other length.
-    """
-    while len(block) > 1:
-        block = [
-            (a * (d // g) + c * (b // g), b // g * d)
-            for (a, b), (c, d) in zip(block[::2], block[1::2], strict=True)
-            for g in (gcd(b, d),)
-        ]
-    return block[0]
-
-
-def _longest_run(spec: SequenceSpec, start: int, gap: Fraction) -> tuple:
+def _longest_run(pairs, start: int, gap: Fraction) -> tuple:
     """Largest end with term(start) + ... + term(end) <= gap, and that sum.
 
-    start is 1 + spec.count_above(gap), the first index whose term fits.
-    The run reads the integer-pair stream of the spec dropped by value,
-    spec.drop_above(gap).pairs(), so no term becomes a Fraction and a
-    merge is not walked to reach start. Terms are positive, so the partial
-    sums of the run strictly increase. A block is taken only when the run
-    plus the whole block is at most gap, so every partial sum inside it
-    fits too; the first block that overshoots is scanned term by term with
-    the same integer test, and the run stops at its first term that does
-    not fit. So end is the largest index whose partial sum fits, and the
-    returned Fraction is that partial sum exactly. Raises CapExceeded
-    before a block would take the terms read past RUN_TERM_CAP.
+    start is the first index whose term fits, and pairs the integer-pair
+    stream from there on. Terms are positive, so the partial sums of the
+    run strictly increase. A block is taken only when the run plus the whole
+    block is at most gap, so every partial sum inside it fits too. The first
+    block that overshoots is descended from its root, keeping a node that
+    overshoots: when the run plus its left half fits, that half is taken
+    and the right half overshoots; otherwise the left half does. The leaf
+    reached is the first term that does not fit, so end is the largest
+    index whose partial sum fits, and the Fraction is that partial sum.
+    Raises CapExceeded before a block would take terms past RUN_TERM_CAP.
     """
     gn, gd = gap.numerator, gap.denominator
-    pairs = spec.drop_above(gap).pairs()
     num, den = 0, 1
-    end = start - 1
-    size = 1
+    end, size = start - 1, 1
     while True:
         if end - start + 1 + size > RUN_TERM_CAP:
             raise CapExceeded(f"run from term {start} reads more than {RUN_TERM_CAP} terms")
-        block = list(itertools.islice(pairs, size))
-        n2, d2 = _add(num, den, *_block_sum(block))
+        tree = sum_tree(itertools.islice(pairs, size))
+        n2, d2 = _add(num, den, *tree[-1][0])
         if n2 * gd > gn * d2:
             break
         num, den = n2, d2
         end += size
         size = min(2 * size, BLOCK_CAP)
-    for a, b in block:
-        n2, d2 = _add(num, den, a, b)
-        if n2 * gd > gn * d2:
-            break
-        num, den = n2, d2
-        end += 1
+    node = 0
+    for level in range(len(tree) - 2, -1, -1):
+        node *= 2
+        n2, d2 = _add(num, den, *tree[level][node])
+        if n2 * gd <= gn * d2:
+            num, den, end, node = n2, d2, end + (1 << level), node + 1
     return end, Fraction(num, den)
 
 
@@ -149,14 +128,13 @@ def fill(
     if not is_nonincreasing(spec):
         raise ValueError("fill needs a non-increasing spec")
 
-    runs = []
-    gaps = []
+    runs, gaps = [], []
     gap = target
     while gap >= eps and len(runs) < max_rounds:
-        start = 1 + spec.count_above(gap)
-        end, run_sum = _longest_run(spec, start, gap)
+        above, rest = spec.split_above(gap)
+        end, run_sum = _longest_run(rest.pairs(), above + 1, gap)
         gap -= run_sum
-        runs.append((start, end))
+        runs.append((above + 1, end))
         gaps.append(gap)
         if gap == 0:
             break

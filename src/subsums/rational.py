@@ -7,7 +7,7 @@ value ever silently loses exactness.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def as_fraction(value) -> Fraction:
@@ -36,6 +36,25 @@ def over_common_denominator(values, den: int = 1) -> tuple:
     sequence of Fractions."""
     den = lcm(den, *(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def sum_tree(pairs) -> list:
+    """Levels of the balanced sum tree of (numerator, denominator) pairs.
+
+    Each level adds neighbouring pairs of the one below on the lcm of their
+    denominators, unreduced, and carries an odd last pair up. Node i of
+    level k sums pairs i 2^k to (i + 1) 2^k - 1; levels[-1][0] sums all.
+    """
+    level = list(pairs) or [(0, 1)]
+    levels = [level]
+    while len(level) > 1:
+        level = [
+            (a * (d // g) + c * (b // g), b // g * d)
+            for (a, b), (c, d) in zip(level[::2], level[1::2])
+            for g in (gcd(b, d),)
+        ] + level[len(level) // 2 * 2 :]
+        levels.append(level)
+    return levels
 
 
 def format_rational(value: Fraction) -> str:

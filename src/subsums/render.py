@@ -99,7 +99,8 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Uniform lattice of classified cells plus the marked reference cell."""
+    """Uniform lattice of classified cells plus the marked reference cell,
+    which comes last (a lattice point may lie on it)."""
 
     alpha_steps: int
     beta_steps: int
@@ -188,11 +189,7 @@ def sweep_svg_text(grid: SweepGrid) -> str:
         "</defs>",
         f'<rect width="{size}" height="{size}" fill="#f7f7f7"/>',
     ]
-    marked = None
-    for cell in grid.cells:
-        if (cell.alpha, cell.beta) == MARKED_CELL:
-            marked = cell
-            continue
+    for cell in grid.cells[:-1]:
         a, b = cell.alpha.numerator, cell.alpha.denominator
         c, d = cell.beta.numerator, cell.beta.denominator
         # The corner is the centre less half a side, size / (2 denom).
@@ -209,15 +206,15 @@ def sweep_svg_text(grid: SweepGrid) -> str:
                 f'<rect x="{x}" y="{y}" width="{side}" '
                 f'height="{side}" fill="url(#hatch)"/>'
             )
-    if marked is not None:
-        alpha, beta = marked.alpha, marked.beta
-        fill = VERDICT_FILL[marked.verdict.kind]
-        cx = _px(size * alpha.numerator, alpha.denominator)
-        cy = _px(size * (beta.denominator - beta.numerator), beta.denominator)
-        lines.append(
-            f'<circle cx="{cx}" cy="{cy}" r="9" '
-            f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
-        )
+    marked = grid.cells[-1]
+    alpha, beta = marked.alpha, marked.beta
+    fill = VERDICT_FILL[marked.verdict.kind]
+    cx = _px(size * alpha.numerator, alpha.denominator)
+    cy = _px(size * (beta.denominator - beta.numerator), beta.denominator)
+    lines.append(
+        f'<circle cx="{cx}" cy="{cy}" r="9" '
+        f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
+    )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -6,9 +6,10 @@ proportions; one proportion is a geometric tail, which geometric()
 builds), or a descending merge of such streams. The four kinds share one
 base, _Tail: each defines term or terms and gets the other, plus pairs
 (the terms as integer (numerator, denominator) pairs), term_count,
-nonincreasing and first; each adds drop, count_above (how many terms
-exceed a value, with no walk) and its tail-sum enclosure, so spec-level
-functions ask the tail instead of branching on its kind.
+nonincreasing, first and split_above (count_above and the rest); each adds
+drop, count_above (how many terms exceed a value, with no walk) and its
+tail-sum enclosure, so spec-level functions ask the tail instead of
+branching on its kind. Explicit terms are summed by rational.sum_tree.
 
 A multi-geometric tail is built on integers: its ratios give its heads
 (one Fraction each), q and nonincreasing. geometric_strands reads a tail
@@ -50,7 +51,7 @@ from .errors import (
     UnsupportedExponent,
     UnsupportedKind,
 )
-from .rational import as_fraction
+from .rational import as_fraction, sum_tree
 
 ZERO = Fraction(0)
 
@@ -164,8 +165,9 @@ class _Tail:
     walks the stream, terms maps term over 1, 2, ... A kind that defines
     neither recurses. Each kind adds drop, count_above and enclosure, and
     overrides term_count (None here: endless), nonincreasing, first, pairs
-    and drop_above where its own answer differs. count_above(g) is the number
-    of terms greater than g > 0; it reads no term.
+    and split_above where its own answer differs. count_above(g) is the
+    number of terms greater than g > 0; it reads no term. split_above(g) is
+    that count and the tail less those terms, counted once.
     """
 
     nonincreasing = True
@@ -187,8 +189,9 @@ class _Tail:
     def term_count(self) -> Optional[int]:
         return None
 
-    def drop_above(self, g: Fraction) -> SequenceSpec:
-        return self.drop(self.count_above(g))
+    def split_above(self, g: Fraction) -> tuple:
+        count = self.count_above(g)
+        return count, self.drop(count)
 
 
 @dataclass(frozen=True)
@@ -254,10 +257,8 @@ class PowerSumTail(_Tail):
         # The integral test needs a positive base index; sum one explicit
         # term first when the tail starts at k = 1.
         explicit = max(extra, 1 - (self.start + skip - 1))
-        summed = sum(
-            (self.term(skip + j + 1) for j in range(explicit)), start=ZERO
-        )
         base = self.start + skip + explicit - 1
+        summed = Fraction(*sum_tree((1, k**p) for k in range(base - explicit + 1, base + 1))[-1][0])
         lo = summed + Fraction(1, (p - 1) * (base + 1) ** (p - 1))
         hi = summed + Fraction(1, (p - 1) * base ** (p - 1))
         return TailEnclosure(lo, hi)
@@ -452,9 +453,10 @@ class MergeTail(_Tail):
     def count_above(self, g: Fraction) -> int:
         return sum(part.count_above(g) for part in self.parts)
 
-    def drop_above(self, g: Fraction) -> SequenceSpec:
-        # Each part loses its own terms above g, so the merge is not walked.
-        return _wrap_merge(part.drop_above(g) for part in self.parts)
+    def split_above(self, g: Fraction) -> tuple:
+        # Each part counts and drops its own terms above g once: no walk.
+        counts, rests = zip(*(part.split_above(g) for part in self.parts))
+        return sum(counts), _wrap_merge(rests)
 
     def consumed(self, count: int) -> list:
         """Per-part term counts of the first `count` merged terms."""
@@ -530,23 +532,25 @@ class SequenceSpec:
             raise ValueError("count_above needs a positive bound")
         return sum(1 for value in self.prefix if value > g) + self.tail.count_above(g)
 
-    def drop_above(self, g) -> SequenceSpec:
-        """A non-increasing spec with its terms greater than g > 0 removed.
-
-        This is drop_first(self, self.count_above(g)), but a merge tail
-        drops each part by that part's own count instead of walking.
-        """
-        above = self.count_above(g)
-        if above <= len(self.prefix):
-            return drop_first(self, above)
-        return self.tail.drop_above(as_fraction(g))
+    def split_above(self, g) -> tuple:
+        """(count_above(g), drop_first(self, that count)) for a non-increasing
+        spec, counting each tail part once; a prefix term at most g leaves
+        the tail uncounted, as none of its terms exceeds g."""
+        g = as_fraction(g)
+        if g.numerator <= 0:
+            raise ValueError("split_above needs a positive bound")
+        above = sum(1 for value in self.prefix if value > g)
+        if above < len(self.prefix):
+            return above, drop_first(self, above)
+        count, rest = self.tail.split_above(g)
+        return above + count, rest
 
     def tail_sum(self, skip: int, extra: int = 0) -> TailEnclosure:
         """Enclosure of the sum of all terms after the first `skip`."""
         if skip < 0:
             raise ValueError("skip must be nonnegative")
         if skip < len(self.prefix):
-            rest = sum(self.prefix[skip:], start=ZERO)
+            rest = Fraction(*sum_tree(map(_as_pair, self.prefix[skip:]))[-1][0])
             return TailEnclosure.point(rest) + self.tail.enclosure(0, extra=extra)
         return self.tail.enclosure(skip - len(self.prefix), extra=extra)
 

@@ -225,7 +225,7 @@ def test_classify_walks_a_strand_merge_once(monkeypatch, spec):
 
 def test_classify_absorbs_a_prefix_in_one_walk(monkeypatch):
     # The terms at least as large as the least prefix term take one walk
-    # of the merge; drop_above leaves the rest with no walk.
+    # of the merge; the parts drop the rest with no walk.
     walks = []
     walk = S.MergeTail.walk
 

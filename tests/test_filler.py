@@ -3,11 +3,13 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subsums as S
+from subsums import sequences
 from subsums.filler import DEFAULT_MAX_ROUNDS
+from subsums.rational import sum_tree
 
 
 def test_fill_harmonic_examples():
@@ -180,8 +182,9 @@ def test_fill_matches_per_term_reference(start, bumps, target, eps_digits, max_r
 
 
 # Run lengths on both sides of the block boundaries (blocks of 1, 2, 4, ...
-# terms end after 1, 3, 7, ..., 255 and 511 terms).
-@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 511, 512, 513])
+# terms end after 1, 3, 7, ..., 255 and 511 terms, then every 256), and
+# inside a full 256-term block, where the run descends the block's tree.
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 511, 512, 513, 639, 640, 767, 768])
 def test_fill_run_lengths_at_block_boundaries(length):
     spec = S.PRESETS["harmonic"]
     partial = sum((F(1, k) for k in range(1, length + 1)), F(0))
@@ -196,6 +199,55 @@ def test_fill_run_lengths_at_block_boundaries(length):
     result = S.fill(spec, above, eps)
     assert result == _reference_fill(spec, above, eps, DEFAULT_MAX_ROUNDS)
     assert result.runs[0] == (1, length)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=1, max_value=4) | st.sampled_from(_PRIMES),
+        ),
+        max_size=300,
+    ),
+)
+@example(14, [(k, k) for k in range(1, 300)])
+@example(3, [(1, 6)] * 255)
+def test_sum_tree_nodes_are_the_sums_of_their_leaves(p, drawn):
+    # Repeated small denominators and coprime prime ones, to the power p;
+    # any length, odd ones included. Node i of level k sums leaves
+    # i 2^k .. (i + 1) 2^k - 1, which the run's descent relies on.
+    pairs = [(n, k**p) for n, k in drawn]
+    levels = sum_tree(pairs)
+    assert F(*levels[-1][0]) == sum((F(n, d) for n, d in pairs), F(0))
+    assert len(levels[-1]) == 1
+    for k, level in enumerate(levels):
+        assert len(level) == max(-(-len(pairs) // 2**k), 1)
+        for i, (num, den) in enumerate(level):
+            leaves = pairs[i << k : (i + 1) << k]
+            assert den > 0 and F(num, den) == sum((F(n, d) for n, d in leaves), F(0))
+
+
+def test_fill_counts_the_terms_above_each_gap_once(monkeypatch):
+    # Each round counts the geometric part's terms above the gap once, for
+    # the run's start and the rest it reads; the harmonic part needs no
+    # strand count.
+    calls = []
+    count_above = sequences._count_above
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_above(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "_count_above", counted)
+    spec = S.MergedSpec((S.power_sum(1), S.geometric(F(1, 2), F(999, 1000))))
+    result = S.fill(spec, 3, F(1, 10**60))
+    assert len(result.runs) == 6 and not result.hit_round_limit
+    assert len(calls) == 6
 
 
 def test_fill_harmonic_target_ten():

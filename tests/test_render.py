@@ -7,7 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import subsums as S
-from subsums.render import MARKED_CELL, VERDICT_FILL, _px, sweep_csv_text, sweep_svg_text
+from subsums.render import (
+    MARKED_CELL,
+    VERDICT_FILL,
+    SweepGrid,
+    _classify_cell,
+    _px,
+    sweep_csv_text,
+    sweep_svg_text,
+)
 
 
 def test_bar_chart_deterministic():
@@ -129,10 +137,10 @@ def _fraction_cell_elements(grid):
     cell_px = F(size, grid.alpha_steps + 1)
     side = _fraction_px(cell_px)
     rects, circle = [], []
-    for cell in grid.cells:
+    for index, cell in enumerate(grid.cells):
         x_center, y_center = cell.alpha * size, size - cell.beta * size
         fill = VERDICT_FILL[cell.verdict.kind]
-        if (cell.alpha, cell.beta) == MARKED_CELL:
+        if index == len(grid.cells) - 1:
             circle.append(
                 f'<circle cx="{_fraction_px(x_center)}" cy="{_fraction_px(y_center)}" r="9" '
                 f'fill="{fill}" stroke="#1a1a1a" stroke-width="2.5"/>'
@@ -158,6 +166,17 @@ def test_sweep_svg_places_cells_as_the_fraction_formula(resolution):
     assert body == _fraction_cell_elements(grid)
     hatched = sum(not cell.feasible for cell in grid.cells[:-1])
     assert len(body) == resolution**2 + hatched + 1 and body[-1].startswith("<circle")
+
+
+def test_sweep_svg_draws_the_lattice_cell_under_the_marked_one():
+    # At resolution 219 the lattice holds (9/20, 6/11) = (99/220, 120/220):
+    # that cell gets its square, and the marked cell, last, its circle.
+    cells = (_classify_cell(F(1, 220), F(1, 220)), _classify_cell(*MARKED_CELL))
+    grid = SweepGrid(219, 219, cells + (_classify_cell(*MARKED_CELL),))
+    body = sweep_svg_text(grid).split("\n")[7:-2]
+    assert body == _fraction_cell_elements(grid)
+    assert sum('stroke="#dddddd"' in line for line in body) == 2
+    assert body[-1].startswith("<circle") and sum("<circle" in line for line in body) == 1
 
 
 def test_sweep_outputs_deterministic(tmp_path):

@@ -518,13 +518,15 @@ def test_reordered_strands_equal_from_strands(ratios, total):
 
 
 def _absorbed_by_dropping_above(spec):
-    """The reordering of a prefixed merge as drop_above and drop_first give
+    """The reordering of a prefixed merge as split_above and drop_first give
     it: the walked terms at least the least prefix term join the prefix,
     each part loses its terms above it, and the merge its ties."""
     body = S.SequenceSpec((), spec.tail)
     threshold = min(spec.prefix)
     taken = tuple(itertools.takewhile(lambda value: value >= threshold, body.terms()))
-    rest = S.drop_first(body.drop_above(threshold), taken.count(threshold))
+    above, rest = body.split_above(threshold)
+    assert above == body.count_above(threshold)
+    rest = S.drop_first(rest, taken.count(threshold))
     prefix = tuple(sorted(spec.prefix + taken, reverse=True))
     return S.SequenceSpec(prefix + rest.prefix, rest.tail)
 
@@ -849,7 +851,7 @@ def _scanned_count(spec, g, limit=3000):
 
 @settings(max_examples=300, deadline=None)
 @given(_counted_specs(), st.data())
-def test_count_above_and_drop_above_match_scanning(spec, data):
+def test_count_above_and_split_above_match_scanning(spec, data):
     terms = take(spec, 40)
     way = data.draw(st.sampled_from(["tie", "just-above", "just-below", "over-first", "tiny"]))
     if way == "over-first":
@@ -863,7 +865,9 @@ def test_count_above_and_drop_above_match_scanning(spec, data):
     count = _scanned_count(spec, g)
     assume(count is not None)
     assert spec.count_above(g) == count
-    assert take(spec.drop_above(g), 20) == take(spec, count + 20)[count:]
+    above, rest = spec.split_above(g)
+    assert above == count
+    assert take(rest, 20) == take(spec, count + 20)[count:]
 
 
 def _per_term_count(u, v, a, b, ties):
@@ -923,7 +927,8 @@ def test_count_above_walks_no_merge(monkeypatch):
     # ties g, so it stays), and (5/6)(2/3)^w for w = 0 .. 50 from the
     # geometric part.
     assert spec.count_above(g) == 1 + (10**9 - 2) + 51
-    dropped = spec.drop_above(g)
+    above, dropped = spec.split_above(g)
+    assert above == spec.count_above(g)
     assert dropped.tail.parts == (S.power_sum(1, start=10**9), S.geometric(F(5, 6) * F(2, 3) ** 51, F(2, 3)))
 
 
@@ -932,7 +937,7 @@ def test_count_above_needs_a_positive_bound():
         with pytest.raises(ValueError):
             S.PRESETS["halves"].count_above(g)
         with pytest.raises(ValueError):
-            S.PRESETS["halves"].drop_above(g)
+            S.PRESETS["halves"].split_above(g)
 
 
 @settings(max_examples=200, deadline=None)
