@@ -11,15 +11,17 @@ drop, count_above (how many terms exceed a value, with no walk) and its
 tail-sum enclosure, so spec-level functions ask the tail instead of
 branching on its kind. Explicit terms are summed by rational.sum_tree.
 
-A multi-geometric tail is built on integers: its ratios give its heads
-(one Fraction each), q and nonincreasing. geometric_strands reads a tail
-as strands with one ratio q; the tails built unchecked from heads and q
-(geometric(), drop, the reordering's strands, self_similar's view) derive
-their ratios only when read. _count_above counts a strand's terms above a
-value on integers, for count_above and the view's head. Sign and range
-checks compare integer numerators. A tail sum is an enclosure [lo, hi],
-lo finite: exact, a rigorous bracket (power sums: the integral test,
-refined by summing more terms) or divergent, hi None. term_tail_relations
+A multi-geometric tail is its strands: heads h_j and one ratio q, strand
+j being h_j q^w. Its proportions and total are read on demand;
+multi_geometric builds it from them on integers and keeps them.
+geometric_strands reads a tail as strands with one ratio q, and the tails
+derived from checked ones (geometric(), drop, the reordering's strands,
+self_similar's view) are built from heads and q with nothing re-checked.
+_count_above counts a strand's terms above a value on integers, for
+count_above and the view's head. Sign and range checks compare integer
+numerators. A tail sum is an enclosure [lo, hi], lo finite: exact, a
+rigorous bracket (power sums: the integral test, refined by summing more
+terms) or divergent, hi None. term_tail_relations
 compares each term with its tail: by one running subtraction from an
 exact total, through compare_term_tail from an inexact one, with no term
 read from a divergent one. integer_view reads self_similar's view as
@@ -35,6 +37,7 @@ their totals; classify alone negates the negative part's sum.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -158,6 +161,14 @@ def _at_most(a, b) -> bool:
     return a.numerator * b.denominator <= b.numerator * a.denominator
 
 
+def _never_rises(heads: tuple, q: Fraction) -> bool:
+    """Whether strands heads[j] q^w, read in period order, never rise: within
+    a period h_(j+1) <= h_j, and across periods q h_0 <= h_(m-1), after
+    which the pattern repeats scaled by q. Integers only: q = a/b."""
+    (a, b), (n0, d0), (n, d) = _as_pair(q), _as_pair(heads[0]), _as_pair(heads[-1])
+    return all(map(_at_most, heads[1:], heads)) and a * n0 * d <= n * b * d0
+
+
 class _Tail:
     """Members shared by the four tail kinds.
 
@@ -266,94 +277,51 @@ class PowerSumTail(_Tail):
 
 @dataclass(frozen=True)
 class MultiGeometricTail(_Tail):
-    """Tail driven by periodic proportions: x_{i+1} = r_j X_i with j = i mod m.
+    """Geometric strands with one ratio q, read in period order.
 
-    total is the whole tail sum X_0; each step removes the proportion
-    r_(i mod m) of what remains, so all terms and tail sums are exact.
-    One proportion r is the geometric tail with ratio 1 - r. heads holds
-    the first m terms and period_factor q the product of the 1 - r_j, so
-    term i + m is q times term i: strand j is heads[j] * q^w, w = 0, 1, ...
-    Terms, count_above, drop and the strand reading need only heads and q,
-    and code that needs only m reads len(heads). from_strands builds the
-    tail from heads and q alone: its ratios and total are derived on first
-    read, then stored, so repr, equality and hash are those of the tail
-    built from the ratios. nonincreasing is computed once: within a period
-    it needs h_(j+1) <= h_j, and across periods q h_0 <= h_(m-1), after
-    which the pattern repeats scaled by q.
-
-    The ratios build the tail on integers. With n/d = r_j, N/D the total
-    and a/b the product of the 1 - r_i before it, what remains is
-    N a / (D b), head j is the one Fraction n N a / (d D b), and the last
-    a/b is q. h_(j+1) <= h_j exactly when r_(j+1) (1 - r_j) <= r_j, and
-    q h_0 <= h_(m-1) is that test on r_0 after r_(m-1).
+    Strand j is heads[j] * q^w, w = 0, 1, ..., so term i + m is q times
+    term i. heads and q (period_factor), coerced by as_fraction, are the
+    tail's identity; heads must be positive and 0 < q < 1. Terms,
+    count_above, drop and the strand reading need only them, and
+    nonincreasing is computed once, by _never_rises. ratios are the
+    proportions r_j, step i removing r_(i mod m) of what remains, and
+    total is X_0: both are derived on first read and kept, or kept as
+    multi_geometric was given them.
     """
 
-    ratios: tuple
-    total: Fraction
-    heads: tuple = field(init=False, repr=False, compare=False)
-    period_factor: Fraction = field(init=False, repr=False, compare=False)
+    heads: tuple
+    period_factor: Fraction
     nonincreasing: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ratios = tuple(map(as_fraction, self.ratios))
-        total = as_fraction(self.total)
-        if not ratios:
-            raise ValueError("at least one proportion is required")
-        pairs = list(map(_as_pair, ratios))
-        for n, d in pairs:
-            if not 0 < n < d:
-                raise ValueError("proportions must lie strictly between 0 and 1")
-        big_n, big_d = _as_pair(total)
-        if big_n <= 0:
-            raise ValueError("total must be positive")
-        heads, a, b, nonincreasing = [], 1, 1, True
-        n0, d0 = pairs[-1]
-        for n, d in pairs:
-            heads.append(Fraction(n * big_n * a, d * big_d * b))
-            nonincreasing = nonincreasing and n * (d0 - n0) <= n0 * d
-            a, b, n0, d0 = a * (d - n), b * d, n, d
-        self.__dict__.update(ratios=ratios, total=total, heads=tuple(heads))
-        self.__dict__.update(period_factor=Fraction(a, b), nonincreasing=nonincreasing)
-
-    @classmethod
-    def from_strands(cls, heads, q) -> MultiGeometricTail:
-        """The tail whose strand j is heads[j] * q^w, heads and q stored as given.
-
-        The ratios and total are derived from them on first read.
-        """
+        heads = tuple(map(as_fraction, self.heads))
+        q = as_fraction(self.period_factor)
         if not heads or any(head.numerator <= 0 for head in heads):
             raise ValueError("strand heads must be positive")
-        a, b = _as_pair(q)
-        if not 0 < a < b:
+        if not 0 < q.numerator < q.denominator:
             raise ValueError("period factor must lie strictly between 0 and 1")
-        (n0, d0), (n, d) = _as_pair(heads[0]), _as_pair(heads[-1])
-        within = all(map(_at_most, heads[1:], heads))
-        return cls._of(tuple(heads), q, within and a * n0 * d <= n * b * d0)
+        # The instance is frozen, so its fields are written to its __dict__.
+        self.__dict__.update(heads=heads, period_factor=q, nonincreasing=_never_rises(heads, q))
 
     @classmethod
     def _of(cls, heads: tuple, q: Fraction, nonincreasing: bool = True) -> MultiGeometricTail:
-        """from_strands with nothing checked: one checked strand by default."""
+        """The tail of heads and q with nothing coerced or checked, for a tail
+        derived from a checked one: one strand (never rising) by default."""
         tail = cls.__new__(cls)
-        # The instance is frozen, so its fields are written to its __dict__.
         tail.__dict__.update(heads=heads, period_factor=q, nonincreasing=nonincreasing)
         return tail
 
-    def __getattr__(self, name):
-        # Called only for what __dict__ lacks: a from_strands tail's total
-        # and ratios, each derived from the heads on first read and stored.
-        if name == "total":
-            value = sum(self.heads, start=ZERO) / (1 - self.period_factor)
-        elif name == "ratios":
-            ratios = []
-            rest = self.total
-            for head in self.heads:
-                ratios.append(head / rest)
-                rest -= head
-            value = tuple(ratios)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = value
-        return value
+    @functools.cached_property
+    def total(self) -> Fraction:
+        return sum(self.heads, start=ZERO) / (1 - self.period_factor)
+
+    @functools.cached_property
+    def ratios(self) -> tuple:
+        ratios, rest = [], self.total
+        for head in self.heads:
+            ratios.append(head / rest)
+            rest -= head
+        return tuple(ratios)
 
     def remaining(self, count: int) -> Fraction:
         # Exact tail sum after the first `count` terms.
@@ -618,7 +586,33 @@ def power_sum(exponent: int, start: int = 1, prefix=()) -> SequenceSpec:
 
 
 def multi_geometric(ratios, total, prefix=()) -> SequenceSpec:
-    return SequenceSpec(tuple(prefix), MultiGeometricTail(tuple(ratios), total))
+    """The tail of total X_0 whose step i removes the proportion r_(i mod m)
+    of what remains, x_(i+1) = r_j X_i, after the prefix.
+
+    Built on integers: with n/d = r_j, N/D the total and a/b the product
+    of the 1 - r_i before it, what remains is N a / (D b), head j is the
+    one Fraction n N a / (d D b), and the last a/b is q. The tail keeps the
+    ratios and total it was given, so it derives neither.
+    """
+    ratios = tuple(map(as_fraction, ratios))
+    total = as_fraction(total)
+    if not ratios:
+        raise ValueError("at least one proportion is required")
+    pairs = list(map(_as_pair, ratios))
+    for n, d in pairs:
+        if not 0 < n < d:
+            raise ValueError("proportions must lie strictly between 0 and 1")
+    big_n, big_d = _as_pair(total)
+    if big_n <= 0:
+        raise ValueError("total must be positive")
+    heads, a, b = [], 1, 1
+    for n, d in pairs:
+        heads.append(Fraction(n * big_n * a, d * big_d * b))
+        a, b = a * (d - n), b * d
+    heads, q = tuple(heads), Fraction(a, b)
+    tail = MultiGeometricTail._of(heads, q, _never_rises(heads, q))
+    tail.__dict__.update(ratios=ratios, total=total)
+    return SequenceSpec(tuple(prefix), tail)
 
 
 def finite(terms) -> SequenceSpec:
@@ -668,10 +662,10 @@ def nonincreasing_reorder(spec: SequenceSpec) -> SequenceSpec:
     become a descending merge of their geometric strands (a geometric tail
     is its own one strand); an out-of-order prefix absorbs every tail term
     at least as large as its smallest entry. A spec that is already in
-    order is returned as is. Each strand is the from_strands tail of one
-    head and q, and it and the merge are taken as built (_of, _of_strands):
-    one strand is non-increasing and endless, so nothing is re-checked, and
-    its proportion and total are never derived unless read.
+    order is returned as is. Each strand is the tail of one head and q,
+    and it and the merge are taken as built (_of, _of_strands): one strand
+    is non-increasing and endless, so nothing is re-checked, and its
+    proportion and total are never derived unless read.
     """
     prefix = tuple(sorted(spec.prefix, reverse=True))
     sorted_prefix = spec if prefix == spec.prefix else SequenceSpec(prefix, spec.tail)

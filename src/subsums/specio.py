@@ -50,10 +50,16 @@ def _load_tail(data):
     if not isinstance(data, dict):
         raise ValueError("tail must be an object")
     kind = data.get("kind")
+
+    def needed(key):
+        if key not in data:
+            raise ValueError(f"{kind} tail needs {key!r}")
+        return data[key]
+
     if kind == "geometric":
-        return geometric(as_fraction(data["a"]), as_fraction(data["rho"])).tail
+        return geometric(needed("a"), needed("rho")).tail
     if kind == "pseries":
-        exponent = data["p"]
+        exponent = needed("p")
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError("pseries exponent must be an integer")
         start = data.get("start", 1)
@@ -61,8 +67,7 @@ def _load_tail(data):
             raise ValueError("pseries start must be an integer")
         return PowerSumTail(exponent, start)
     if kind == "multigeometric":
-        ratios = tuple(as_fraction(r) for r in _array(data["ratios"], "ratios"))
-        return MultiGeometricTail(ratios, as_fraction(data["total"]))
+        return multi_geometric(_array(needed("ratios"), "ratios"), needed("total")).tail
     raise ValueError(f"unknown tail kind {kind!r}")
 
 

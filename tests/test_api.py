@@ -113,6 +113,7 @@ def test_result_fields_are_pinned():
         S.CnResult: ["depth", "fattened", "inner", "tail_used", "spec", "cap"],
         S.MembershipResult: ["point", "depth", "excluded_at"],
         S.FillResult: ["runs", "gaps", "achieved", "target", "hit_round_limit"],
+        S.MultiGeometricTail: ["heads", "period_factor", "nonincreasing"],
     }
     for cls, names in pinned.items():
         assert [f.name for f in fields(cls)] == names, cls.__name__

@@ -243,21 +243,21 @@ def test_classify_absorbs_a_prefix_in_one_walk(monkeypatch):
 
 
 def test_classify_builds_no_view(monkeypatch):
-    # The reordering builds its strands with no check, not by from_strands.
-    # The profile reads the view on integers, so it builds no tail of its
-    # own for it.
-    built = []
-    from_strands = S.MultiGeometricTail.from_strands.__func__
+    # The reordering builds its strands with no check, not through the
+    # checked constructor MultiGeometricTail(heads, q). The profile reads
+    # the view on integers, so it builds no tail of its own for it.
+    checked = []
+    post_init = S.MultiGeometricTail.__post_init__
 
-    def counted(cls, heads, q):
-        built.append(heads)
-        return from_strands(cls, heads, q)
+    def counted(self):
+        checked.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    monkeypatch.setattr(S.MultiGeometricTail, "__post_init__", counted)
     for spec in (S.PRESETS["kenyon"], S.multi_geometric((F(1, 1844), F(1, 7376)), 1)):
-        built.clear()
+        checked.clear()
         S.classify(spec)
-        assert built == []
+        assert checked == []
 
 
 def test_one_point_components_are_pinned():
@@ -288,7 +288,7 @@ def test_one_point_components_are_pinned():
 
 
 def test_classify_reads_reorder_strands_as_built(monkeypatch):
-    # The reordering's strands come from from_strands, so the merge takes
+    # The reordering's strands are one-strand tails, so the merge takes
     # them unchecked, and classify only walks them: no strand's proportion
     # or total is derived, and no proportion of the view either.
     checked = []
@@ -850,7 +850,11 @@ def test_classify_of_a_scaled_spec_is_the_scaled_verdict(spec, c):
 
 _prefix_order_tails = st.one_of(
     st.builds(lambda a, r: S.geometric(a, r).tail, _values, _ratios),
-    st.builds(S.MultiGeometricTail, st.lists(_ratios, min_size=2, max_size=2).map(tuple), _values),
+    st.builds(
+        lambda r, t: S.multi_geometric(r, t).tail,
+        st.lists(_ratios, min_size=2, max_size=2).map(tuple),
+        _values,
+    ),
     st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
 )
 

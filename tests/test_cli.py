@@ -450,6 +450,22 @@ def test_bad_spec_file_exit(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_spec_missing_a_tail_key_names_the_kind_and_the_key(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    for tail, key in (
+        ({"kind": "geometric", "rho": "1/2"}, "a"),
+        ({"kind": "geometric", "a": "1/2"}, "rho"),
+        ({"kind": "pseries", "start": 2}, "p"),
+        ({"kind": "multigeometric", "total": "1"}, "ratios"),
+        ({"kind": "multigeometric", "ratios": ["1/2"]}, "total"),
+    ):
+        path.write_text(json.dumps({"tail": tail}))
+        code, out, err = run(capsys, "classify", "--seq", str(path))
+        assert (code, out) == (1, "")
+        message = f"{tail['kind']} tail needs {key!r}"
+        assert err == f"subsums: error: bad spec {str(path)!r}: {message}\n"
+
+
 def test_bad_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["cn", "--seq", "thirds", "--bogus"])

@@ -191,7 +191,9 @@ _ratios = st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=
 _tails = st.one_of(
     st.builds(lambda a, r: S.geometric(a, r).tail, _values, _ratios),
     st.builds(
-        S.MultiGeometricTail, st.lists(_ratios, min_size=1, max_size=3).map(tuple), _values
+        lambda r, t: S.multi_geometric(r, t).tail,
+        st.lists(_ratios, min_size=1, max_size=3).map(tuple),
+        _values,
     ),
     st.builds(S.PowerSumTail, st.sampled_from((2, 3)), st.integers(1, 4)),
 )

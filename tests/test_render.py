@@ -234,14 +234,14 @@ def test_px_examples():
 def test_sweep_builds_no_tail_from_strands(monkeypatch):
     # Each cell's tail is built from its ratios on integers, and the
     # reordering takes its strands with nothing re-checked, so no cell
-    # builds a tail through from_strands.
-    built = []
-    from_strands = S.MultiGeometricTail.from_strands.__func__
+    # builds a tail through the checked constructor MultiGeometricTail(heads, q).
+    checked = []
+    post_init = S.MultiGeometricTail.__post_init__
 
-    def counted(cls, heads, q):
-        built.append(heads)
-        return from_strands(cls, heads, q)
+    def counted(self):
+        checked.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    monkeypatch.setattr(S.MultiGeometricTail, "__post_init__", counted)
     grid = S.sweep(21)
-    assert len(grid.cells) == 442 and built == []
+    assert len(grid.cells) == 442 and checked == []

@@ -327,8 +327,9 @@ _merge_parts = st.one_of(
 @given(_values, _ratios)
 def test_geometric_tail_equals_the_constructed_one(first, ratio):
     tail = S.geometric(first, ratio).tail
-    built = S.MultiGeometricTail((1 - ratio,), first / (1 - ratio))
+    built = S.multi_geometric((1 - ratio,), first / (1 - ratio)).tail
     assert tail == built and hash(tail) == hash(built)
+    assert tail == S.MultiGeometricTail((first,), ratio)
     # The head is the first term and each period scales by the ratio.
     assert (tail.heads, tail.period_factor) == ((first,), ratio)
 
@@ -338,16 +339,16 @@ def _fields(tail):
 
 
 @given(st.lists(_values, min_size=1, max_size=4), _ratios)
-def test_from_strands_equals_the_tail_built_from_ratios(heads, q):
-    tail = S.MultiGeometricTail.from_strands(tuple(heads), q)
+def test_strand_tail_equals_the_tail_built_from_ratios(heads, q):
+    tail = S.MultiGeometricTail(tuple(heads), q)
     total = sum(heads, start=F(0)) / (1 - q)
     ratios = []
     rest = total
     for head in heads:
         ratios.append(head / rest)
         rest -= head
-    built = S.MultiGeometricTail(tuple(ratios), total)
-    # Every field, heads, period_factor and nonincreasing included.
+    built = S.multi_geometric(tuple(ratios), total).tail
+    # Every field: heads, period_factor and nonincreasing.
     assert _fields(tail) == _fields(built)
     assert (tail.heads, tail.period_factor) == (tuple(heads), q)
     assert tail == built and hash(tail) == hash(built)
@@ -355,7 +356,7 @@ def test_from_strands_equals_the_tail_built_from_ratios(heads, q):
     # The ratios and total are derived on first read. Each read below is
     # the first on a fresh tail, so none relies on another.
     def fresh():
-        tail = S.MultiGeometricTail.from_strands(tuple(heads), q)
+        tail = S.MultiGeometricTail(tuple(heads), q)
         assert "ratios" not in vars(tail) and "total" not in vars(tail)
         return tail
 
@@ -378,9 +379,9 @@ def _ratio_rule(ratios):
 @example([F(1, 2), F(1, 2)], F(1))
 @example([F(1, 3), F(1, 2)], F(1))
 def test_stored_nonincreasing_is_the_ratio_rule(ratios, total):
-    tail = S.MultiGeometricTail(tuple(ratios), total)
+    tail = S.multi_geometric(tuple(ratios), total).tail
     assert tail.nonincreasing == _ratio_rule(tail.ratios)
-    strands = S.MultiGeometricTail.from_strands(tail.heads, tail.period_factor)
+    strands = S.MultiGeometricTail(tail.heads, tail.period_factor)
     assert strands.nonincreasing == tail.nonincreasing
     terms = take(S.SequenceSpec((), tail), 3 * len(ratios) + 1)
     assert tail.nonincreasing == all(b <= a for a, b in zip(terms, terms[1:]))
@@ -388,7 +389,7 @@ def test_stored_nonincreasing_is_the_ratio_rule(ratios, total):
 
 @given(st.lists(_ratios, min_size=1, max_size=4), _values)
 def test_terms_stream_equals_term(ratios, total):
-    tail = S.MultiGeometricTail(tuple(ratios), total)
+    tail = S.multi_geometric(tuple(ratios), total).tail
     count = 3 * len(ratios) + 2
     assert list(itertools.islice(tail.terms(), count)) == [tail.term(i) for i in range(1, count + 1)]
     assert tail.remaining(0) is tail.total
@@ -401,19 +402,25 @@ def test_merge_of_equal_strands_alternates_part_indices():
 
 
 def test_drop_and_self_similar_build_no_tail_through_from_strands(monkeypatch):
-    built = []
-    from_strands = S.MultiGeometricTail.from_strands.__func__
+    # Each tail they build is derived from a checked one: none goes through
+    # the checked constructor MultiGeometricTail(heads, q), and none derives
+    # its proportions or total.
+    checked = []
+    post_init = S.MultiGeometricTail.__post_init__
 
-    def counted(cls, heads, q):
-        built.append(heads)
-        return from_strands(cls, heads, q)
+    def counted(self):
+        checked.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(S.MultiGeometricTail, "from_strands", classmethod(counted))
+    monkeypatch.setattr(S.MultiGeometricTail, "__post_init__", counted)
     for spec in (S.PRESETS["gn"], S.PRESETS["kenyon"], S.multi_geometric((F(1, 10), F(1, 40)), 1)):
-        for k in range(7):
-            S.drop_first(spec, k)
-        S.self_similar(S.nonincreasing_reorder(spec))
-    assert built == []
+        for k in range(1, 7):
+            dropped = S.drop_first(spec, k).tail
+            assert "ratios" not in vars(dropped) and "total" not in vars(dropped)
+        view = S.self_similar(S.nonincreasing_reorder(spec))
+        # gn never rises, so it is its own view: that tail keeps its ratios.
+        assert view is spec or "ratios" not in vars(view.tail) and "total" not in vars(view.tail)
+    assert checked == []
 
 
 @given(st.lists(_ratios, min_size=1, max_size=4), _values)
@@ -421,27 +428,34 @@ def test_drop_and_self_similar_build_no_tail_through_from_strands(monkeypatch):
 def test_drop_keeps_nonincreasing(ratios, total):
     # Non-monotone tails too: a rise recurs in every period, so each rest
     # of the tail rises exactly when the whole tail does.
-    tail = S.MultiGeometricTail(tuple(ratios), total)
+    tail = S.multi_geometric(tuple(ratios), total).tail
     for k in range(3 * len(ratios) + 1):
         dropped = tail.drop(k).tail
         assert dropped.nonincreasing == tail.nonincreasing
-        checked = S.MultiGeometricTail.from_strands(dropped.heads, dropped.period_factor)
+        checked = S.MultiGeometricTail(dropped.heads, dropped.period_factor)
         assert checked.nonincreasing == dropped.nonincreasing and checked == dropped
 
 
-def test_from_strands_tail_reads_no_other_missing_attribute():
-    tail = S.MultiGeometricTail.from_strands((F(1, 2),), F(1, 3))
-    with pytest.raises(AttributeError, match="no attribute 'heights'"):
-        tail.heights
+def test_strand_tail_validation():
+    for heads in ((), (F(0),), (F(1), F(-1, 2)), (0,), (1, "-1/2")):
+        with pytest.raises(ValueError, match="^strand heads must be positive$"):
+            S.MultiGeometricTail(heads, F(1, 2))
+    for q in (F(0), F(1), F(3, 2), 1, "3/2"):
+        with pytest.raises(ValueError, match="^period factor must lie strictly between 0 and 1$"):
+            S.MultiGeometricTail((F(1),), q)
+    for heads, q in (((0.5,), F(1, 2)), ((F(1),), 0.5), ((F(1), 0.25), F(1, 2))):
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+            S.MultiGeometricTail(heads, q)
 
 
-def test_from_strands_validation():
-    for heads in ((), (F(0),), (F(1), F(-1, 2))):
-        with pytest.raises(ValueError, match="strand heads must be positive"):
-            S.MultiGeometricTail.from_strands(heads, F(1, 2))
-    for q in (F(0), F(1), F(3, 2)):
-        with pytest.raises(ValueError, match="period factor must lie strictly between 0 and 1"):
-            S.MultiGeometricTail.from_strands((F(1),), q)
+def test_strand_tail_coerces_ints_and_strings():
+    # As every other constructor does: the stored heads and q are Fractions.
+    expected = S.geometric(F(1), F(1, 2)).tail
+    for heads, q in (((1,), F(1, 2)), ((F(1),), "1/2"), (["1"], "1/2"), ((1,), "2/4")):
+        tail = S.MultiGeometricTail(heads, q)
+        assert tail == expected and hash(tail) == hash(expected)
+        assert all(type(x) is F for x in (*tail.heads, tail.period_factor))
+        assert type(tail.heads) is tuple and tail.nonincreasing
 
 
 def _as_text_or_int(value):
@@ -457,9 +471,10 @@ def _as_text_or_int(value):
 @example(["1/2", "1/2"], 1)
 @example([F(1, 3), "2/3", F(1, 12), "11/12"], "3")
 def test_integer_construction_matches_the_recurrence(ratios, total):
-    # The heads, q and nonincreasing come from integer numerators; each must
-    # equal what the recurrence head = r * rest, rest -= head gives.
-    tail = S.MultiGeometricTail(tuple(ratios), total)
+    # multi_geometric builds the heads, q and nonincreasing from integer
+    # numerators; each must equal what the recurrence head = r * rest,
+    # rest -= head gives.
+    tail = S.multi_geometric(tuple(ratios), total).tail
     coerced = tuple(F(r) for r in ratios)
     heads, rest = [], F(total)
     for r in coerced:
@@ -470,8 +485,14 @@ def test_integer_construction_matches_the_recurrence(ratios, total):
     assert tail.heads == tuple(heads) and tail.period_factor == q
     terms = [h * q**w for w in range(3) for h in heads] + [heads[0] * q**3]
     assert tail.nonincreasing == all(b <= a for a, b in zip(terms, terms[1:]))
-    assert repr(tail) == f"MultiGeometricTail(ratios={coerced!r}, total={F(total)!r})"
-    for same in (S.MultiGeometricTail(coerced, F(total)), S.MultiGeometricTail.from_strands(tuple(heads), q)):
+    assert repr(tail) == f"MultiGeometricTail(heads={tuple(heads)!r}, period_factor={q!r})"
+    # The factory keeps what it was given; the tail of its heads and q
+    # derives exactly the same ratios and total.
+    assert (vars(tail)["ratios"], vars(tail)["total"]) == (coerced, F(total))
+    strands = S.MultiGeometricTail(tuple(heads), q)
+    assert "ratios" not in vars(strands) and "total" not in vars(strands)
+    assert (strands.ratios, strands.total) == (coerced, F(total))
+    for same in (S.multi_geometric(coerced, F(total)).tail, strands):
         assert tail == same and hash(tail) == hash(same) and repr(tail) == repr(same)
         assert (same.heads, same.period_factor, same.nonincreasing) == (
             tail.heads, tail.period_factor, tail.nonincreasing
@@ -492,18 +513,18 @@ def test_integer_construction_errors_keep_their_order():
     ]
     for (ratios, total), message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            S.MultiGeometricTail(ratios, total)
+            S.multi_geometric(ratios, total)
     with pytest.raises(TypeError):
-        S.MultiGeometricTail((), 0.5)
+        S.multi_geometric((), 0.5)
     with pytest.raises(TypeError):
-        S.MultiGeometricTail((0.5,), 0)
+        S.multi_geometric((0.5,), 0)
 
 
 @given(st.lists(_ratios, min_size=1, max_size=4), _values)
 def test_reordered_strands_equal_from_strands(ratios, total):
     # The reordering builds each strand with nothing checked; each must be
-    # the tail from_strands builds from its head and q.
-    tail = S.MultiGeometricTail(tuple(ratios), total)
+    # the tail the checked constructor builds from its head and q.
+    tail = S.multi_geometric(tuple(ratios), total).tail
     reordered = S.nonincreasing_reorder(S.SequenceSpec((), tail))
     if tail.nonincreasing:
         assert reordered.tail is tail
@@ -511,7 +532,7 @@ def test_reordered_strands_equal_from_strands(ratios, total):
     strands = reordered.tail.parts if len(ratios) > 1 else (reordered,)
     assert len(strands) == len(ratios)
     for strand, head in zip(strands, tail.heads):
-        built = S.MultiGeometricTail.from_strands((head,), tail.period_factor)
+        built = S.MultiGeometricTail((head,), tail.period_factor)
         assert not strand.prefix and _fields(strand.tail) == _fields(built)
         assert strand.tail == built and hash(strand.tail) == hash(built)
         assert repr(strand.tail) == repr(built)

@@ -149,6 +149,27 @@ def test_dump_load_round_trip():
     assert S.load_spec(S.dump_spec(prefixed)) == prefixed
 
 
+@given(
+    st.lists(st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12), min_size=2, max_size=3),
+    st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=12),
+    st.lists(st.fractions(min_value=F(1, 40), max_value=F(3), max_denominator=40), max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_strand_built_tails_round_trip(ratios, total, prefix):
+    # drop, the reordering's strands and self_similar's view build their
+    # tails from heads and q alone; the proportions and total derived from
+    # those are their wire form.
+    spec = S.multi_geometric(ratios, total, prefix=prefix)
+    built = [S.drop_first(spec, len(prefix) + k) for k in range(1, 2 * len(ratios) + 1)]
+    reordered = S.nonincreasing_reorder(spec)
+    if isinstance(reordered.tail, S.MergeTail):
+        built += [part for part in reordered.tail.parts if not part.prefix]
+    for dropped in built:
+        assert "ratios" not in vars(dropped.tail) and "total" not in vars(dropped.tail)
+    for item in built + [S.self_similar(reordered)]:
+        assert S.load_spec(S.dump_spec(item)) == item
+
+
 @pytest.mark.parametrize("data", [
     {"tail": {"kind": "geometric", "a": "1/3", "rho": "1/3"}},
     {"tail": {"kind": "geometric", "a": "5/2", "rho": "7/8"}},
